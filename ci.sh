@@ -57,6 +57,15 @@ for threads in 1 4; do
         --test link_analysis_parity --test linkgraph_props
 done
 
+# Benchmark self-test: crawlbench is a package of its own (outside the
+# workspace), built from this checkout. Its suite runs every workload at
+# tiny scale against the pinned report digests and checks that the
+# content-chain replay resolves exactly the links the crawl saw
+# (replay_faithful), so a change to a public function the benchmark
+# calls cannot silently break its build or its replay.
+echo "==> crawlbench self-test (tiny scale, pinned digests, replay)"
+cargo test --release --offline --manifest-path crawlbench/Cargo.toml
+
 # Determinism & safety lint: the in-tree static analyzer must find
 # nothing unsuppressed in the workspace's own sources. The same run
 # writes the JSON report and the resolved hot-path call graph

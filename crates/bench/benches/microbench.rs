@@ -190,6 +190,10 @@ struct BenchRecord {
     /// Allocations per fetch over the final stretch of a warm crawl —
     /// must be exactly zero when the counting allocator is compiled in.
     steady_state_allocs_per_fetch: f64,
+    /// The same for a warm content-mode crawl (render, classify, scan,
+    /// canonicalize, index lookup).
+    content_allocs_per_fetch: f64,
+    content_steady_state_ok: bool,
     steady_state_gated: bool,
     steady_state_ok: bool,
     /// Worklist relaxations per second of the incremental rank solver
@@ -228,6 +232,9 @@ impl BenchRecord {
         if self.steady_state_gated && !self.steady_state_ok {
             out.push("steady-state crawl fetches allocate (must be zero after warm-up)");
         }
+        if self.steady_state_gated && !self.content_steady_state_ok {
+            out.push("steady-state content-mode fetches allocate (must be zero after warm-up)");
+        }
         if !self.link_speedup_ok {
             out.push("incremental link-analysis speedup below 5x over the legacy recompute");
         }
@@ -257,6 +264,7 @@ impl BenchRecord {
                 "  \"sched_overhead\": {sov:.4},\n",
                 "  \"snapshot_overhead\": {snov:.4},\n",
                 "  \"steady_state_allocs_per_fetch\": {ssa:.4},\n",
+                "  \"content_allocs_per_fetch\": {csa:.4},\n",
                 "  \"link_analysis\": {{\n",
                 "    \"rank_updates_per_s\": {lru:.0},\n",
                 "    \"pagerank_pages_per_s\": {lpp:.0},\n",
@@ -273,6 +281,7 @@ impl BenchRecord {
                 "    \"snapshot_overhead_ok\": {snovok},\n",
                 "    \"steady_state_gated\": {ssg},\n",
                 "    \"steady_state_ok\": {ssok},\n",
+                "    \"content_steady_state_ok\": {cssok},\n",
                 "    \"link_speedup_ok\": {lspok}\n",
                 "  }}\n",
                 "}}\n"
@@ -294,6 +303,7 @@ impl BenchRecord {
             sov = self.sched_overhead,
             snov = self.snapshot_overhead,
             ssa = self.steady_state_allocs_per_fetch,
+            csa = self.content_allocs_per_fetch,
             lru = self.link_rank_updates_per_s,
             lpp = self.link_pagerank_pages_per_s,
             llp = self.link_pagerank_legacy_pages_per_s,
@@ -307,6 +317,7 @@ impl BenchRecord {
             snovok = self.snapshot_overhead_ok,
             ssg = self.steady_state_gated,
             ssok = self.steady_state_ok,
+            cssok = self.content_steady_state_ok,
             lspok = self.link_speedup_ok,
         )
     }
@@ -1178,6 +1189,55 @@ fn bench_steady_state_allocs(rec: &mut BenchRecord, scale: u32) {
     );
 }
 
+/// The content-mode twin of [`bench_steady_state_allocs`]: a warm
+/// [`ContentSimulator`] renders, classifies, scans, canonicalizes and
+/// resolves every fetch into buffers it keeps across runs, so the final
+/// `TAIL` fetches of a crawl must allocate nothing. Measured the same
+/// differential way, with `ContentConfig::max_pages` stopping the short
+/// run `TAIL` fetches early on the same simulator.
+fn bench_content_steady_state_allocs(rec: &mut BenchRecord, scale: u32) {
+    use langcrawl_core::content::{ContentConfig, ContentSimulator};
+    // Content mode is ~100x slower per page than the engine; a smaller
+    // space keeps the section short while leaving a long warm prefix.
+    let n = scale.min(8_000);
+    println!("content-mode steady-state allocations (n={n}):");
+    let ws = GeneratorConfig::thai_like().scaled(n).build(7);
+    const TAIL: u64 = 1_000;
+
+    let mut sim = ContentSimulator::new(&ws, ContentConfig::default());
+    let mut run = |budget: Option<u64>| {
+        sim.config_mut().max_pages = budget;
+        black_box(sim.run(&mut SimpleStrategy::soft()).crawled)
+    };
+
+    // Warm-up: grows every per-fetch buffer to its high-water size.
+    let full = run(None);
+    assert!(full > 2 * TAIL, "space too small for the tail measurement");
+
+    let a0 = alloc_count();
+    let short = run(Some(full - TAIL));
+    let a1 = alloc_count();
+    let again = run(Some(full));
+    let a2 = alloc_count();
+    assert_eq!(short, full - TAIL);
+    assert_eq!(again, full);
+
+    let tail_allocs = (a2 - a1).saturating_sub(a1 - a0);
+    rec.content_allocs_per_fetch = tail_allocs as f64 / TAIL as f64;
+    rec.content_steady_state_ok = !COUNTING_ALLOCS || tail_allocs == 0;
+    println!(
+        "  tail {TAIL} fetches: {tail_allocs} allocations ({:.4}/fetch)  [{}]",
+        rec.content_allocs_per_fetch,
+        if !COUNTING_ALLOCS {
+            "not gated: counting allocator off"
+        } else if rec.content_steady_state_ok {
+            "OK"
+        } else {
+            "ALLOCATES"
+        }
+    );
+}
+
 fn git_short_sha() -> String {
     std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
@@ -1223,6 +1283,7 @@ fn main() {
     bench_snapshot_overhead(&mut rec, scale);
     mark("overhead_gates", &mut marks);
     bench_steady_state_allocs(&mut rec, scale);
+    bench_content_steady_state_allocs(&mut rec, scale);
     mark("steady_state", &mut marks);
 
     if COUNTING_ALLOCS {

@@ -22,6 +22,7 @@
 //! languages never collides. Detection only consults Unicode blocks, so
 //! the model mappings preserve its behaviour.
 
+use crate::encode::{push_char, push_pair};
 use crate::kuten::Kuten;
 use crate::types::Charset;
 
@@ -117,7 +118,10 @@ pub fn chinese_from_unicode(c: char) -> Option<Kuten> {
 /// # Panics
 /// Panics on a charset that cannot carry Korean text.
 pub fn encode_korean(tokens: &[DbToken], charset: Charset) -> Vec<u8> {
-    encode_dbcs(tokens, charset, Charset::EucKr, korean_to_unicode)
+    let Some(enc) = DbcsEncoder::korean(charset) else {
+        panic!("charset {charset} cannot encode this DBCS text")
+    };
+    enc.encode_all(tokens)
 }
 
 /// Encode a Chinese token stream as GB2312 or UTF-8.
@@ -125,35 +129,61 @@ pub fn encode_korean(tokens: &[DbToken], charset: Charset) -> Vec<u8> {
 /// # Panics
 /// Panics on a charset that cannot carry Chinese text.
 pub fn encode_chinese(tokens: &[DbToken], charset: Charset) -> Vec<u8> {
-    encode_dbcs(tokens, charset, Charset::Gb2312, chinese_to_unicode)
+    let Some(enc) = DbcsEncoder::chinese(charset) else {
+        panic!("charset {charset} cannot encode this DBCS text")
+    };
+    enc.encode_all(tokens)
 }
 
-fn encode_dbcs(
-    tokens: &[DbToken],
-    charset: Charset,
-    legacy: Charset,
-    to_unicode: fn(Kuten) -> char,
-) -> Vec<u8> {
-    if charset == legacy {
-        let mut out = Vec::with_capacity(tokens.len() * 2);
-        for t in tokens {
-            match *t {
-                DbToken::Cell(k) => out.extend_from_slice(&to_euc(k)),
-                DbToken::Ascii(b) => out.push(b & 0x7F),
-            }
+/// Incremental Korean/Chinese encoder: one token at a time into a
+/// caller-owned buffer. The legacy charset (EUC-KR / GB2312) writes EUC
+/// byte pairs; UTF-8 goes through the language's model Unicode mapping.
+#[derive(Debug, Clone, Copy)]
+pub struct DbcsEncoder {
+    /// `None` for the legacy EUC form.
+    to_unicode: Option<fn(Kuten) -> char>,
+}
+
+impl DbcsEncoder {
+    /// A Korean encoder (EUC-KR or UTF-8), or `None` for other charsets.
+    pub fn korean(charset: Charset) -> Option<Self> {
+        Self::new(charset, Charset::EucKr, korean_to_unicode)
+    }
+
+    /// A Chinese encoder (GB2312 or UTF-8), or `None` for other charsets.
+    pub fn chinese(charset: Charset) -> Option<Self> {
+        Self::new(charset, Charset::Gb2312, chinese_to_unicode)
+    }
+
+    fn new(charset: Charset, legacy: Charset, to_unicode: fn(Kuten) -> char) -> Option<Self> {
+        if charset == legacy {
+            Some(DbcsEncoder { to_unicode: None })
+        } else if charset == Charset::Utf8 {
+            Some(DbcsEncoder {
+                to_unicode: Some(to_unicode),
+            })
+        } else {
+            None
+        }
+    }
+
+    /// Append one token's bytes.
+    #[inline]
+    pub fn encode_token(self, t: DbToken, out: &mut Vec<u8>) {
+        match (t, self.to_unicode) {
+            (DbToken::Cell(k), None) => push_pair(out, to_euc(k)),
+            (DbToken::Cell(k), Some(f)) => push_char(out, f(k)),
+            (DbToken::Ascii(b), _) => out.push(b & 0x7F),
+        }
+    }
+
+    fn encode_all(self, tokens: &[DbToken]) -> Vec<u8> {
+        let per = if self.to_unicode.is_some() { 3 } else { 2 };
+        let mut out = Vec::with_capacity(tokens.len() * per);
+        for &t in tokens {
+            self.encode_token(t, &mut out);
         }
         out
-    } else if charset == Charset::Utf8 {
-        let mut s = String::with_capacity(tokens.len() * 3);
-        for t in tokens {
-            match *t {
-                DbToken::Cell(k) => s.push(to_unicode(k)),
-                DbToken::Ascii(b) => s.push((b & 0x7F) as char),
-            }
-        }
-        s.into_bytes()
-    } else {
-        panic!("charset {charset} cannot encode this DBCS text")
     }
 }
 

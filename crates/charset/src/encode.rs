@@ -36,65 +36,72 @@ pub enum ThToken {
 /// Panics if `charset` cannot represent Japanese text (programmer error —
 /// the generator only pairs Japanese text with Japanese-capable charsets).
 pub fn encode_japanese(tokens: &[JaToken], charset: Charset) -> Vec<u8> {
-    match charset {
-        Charset::EucJp => {
-            let mut out = Vec::with_capacity(tokens.len() * 2);
-            for t in tokens {
-                match *t {
-                    JaToken::K(k) => out.extend_from_slice(&k.to_eucjp()),
-                    JaToken::Ascii(b) => out.push(b & 0x7F),
-                }
-            }
-            out
-        }
-        Charset::ShiftJis => {
-            let mut out = Vec::with_capacity(tokens.len() * 2);
-            for t in tokens {
-                match *t {
-                    JaToken::K(k) => out.extend_from_slice(&k.to_sjis()),
-                    JaToken::Ascii(b) => out.push(b & 0x7F),
-                }
-            }
-            out
-        }
-        Charset::Iso2022Jp => {
-            let mut out = Vec::with_capacity(tokens.len() * 2 + 8);
-            let mut in_208 = false;
-            for t in tokens {
-                match *t {
-                    JaToken::K(k) => {
-                        if !in_208 {
-                            out.extend_from_slice(&[0x1B, b'$', b'B']);
-                            in_208 = true;
-                        }
-                        out.extend_from_slice(&k.to_jis());
+    let Some(mut enc) = JapaneseEncoder::new(charset) else {
+        panic!("charset {charset} cannot encode Japanese text")
+    };
+    let mut out = Vec::with_capacity(tokens.len() * 2 + 8);
+    for &t in tokens {
+        enc.encode_token(t, &mut out);
+    }
+    enc.finish(&mut out);
+    out
+}
+
+/// Incremental Japanese encoder: one token at a time into a caller-owned
+/// buffer, so text can be encoded as it is generated.
+/// [`encode_japanese`] is this over a slice.
+#[derive(Debug, Clone, Copy)]
+pub struct JapaneseEncoder {
+    charset: Charset,
+    /// ISO-2022-JP only: currently shifted into JIS X 0208.
+    in_208: bool,
+}
+
+impl JapaneseEncoder {
+    /// An encoder for `charset`, or `None` if it cannot carry Japanese.
+    pub fn new(charset: Charset) -> Option<Self> {
+        matches!(
+            charset,
+            Charset::EucJp | Charset::ShiftJis | Charset::Iso2022Jp | Charset::Utf8
+        )
+        .then_some(JapaneseEncoder {
+            charset,
+            in_208: false,
+        })
+    }
+
+    /// Append one token's bytes.
+    #[inline]
+    pub fn encode_token(&mut self, t: JaToken, out: &mut Vec<u8>) {
+        match t {
+            JaToken::K(k) => match self.charset {
+                Charset::EucJp => push_pair(out, k.to_eucjp()),
+                Charset::ShiftJis => push_pair(out, k.to_sjis()),
+                Charset::Iso2022Jp => {
+                    if !self.in_208 {
+                        push_escape(out, b'$');
+                        self.in_208 = true;
                     }
-                    JaToken::Ascii(b) => {
-                        if in_208 {
-                            out.extend_from_slice(&[0x1B, b'(', b'B']);
-                            in_208 = false;
-                        }
-                        out.push(b & 0x7F);
-                    }
+                    push_pair(out, k.to_jis());
                 }
-            }
-            if in_208 {
-                // Conforming streams return to ASCII before EOF (RFC 1468).
-                out.extend_from_slice(&[0x1B, b'(', b'B']);
-            }
-            out
-        }
-        Charset::Utf8 => {
-            let mut s = String::with_capacity(tokens.len() * 3);
-            for t in tokens {
-                match *t {
-                    JaToken::K(k) => s.push(k.to_unicode()),
-                    JaToken::Ascii(b) => s.push((b & 0x7F) as char),
+                _ => push_char(out, k.to_unicode()),
+            },
+            JaToken::Ascii(b) => {
+                if self.in_208 {
+                    push_escape(out, b'(');
+                    self.in_208 = false;
                 }
+                out.push(b & 0x7F);
             }
-            s.into_bytes()
         }
-        other => panic!("charset {other} cannot encode Japanese text"),
+    }
+
+    /// End the stream. Conforming ISO-2022-JP streams return to ASCII
+    /// before EOF (RFC 1468).
+    pub fn finish(self, out: &mut Vec<u8>) {
+        if self.in_208 {
+            push_escape(out, b'(');
+        }
     }
 }
 
@@ -105,40 +112,80 @@ pub fn encode_japanese(tokens: &[JaToken], charset: Charset) -> Vec<u8> {
 /// # Panics
 /// Panics if `charset` cannot represent Thai text.
 pub fn encode_thai(tokens: &[ThToken], charset: Charset) -> Vec<u8> {
-    match charset {
-        Charset::Tis620 | Charset::Windows874 | Charset::Iso885911 => {
-            let mut out = Vec::with_capacity(tokens.len());
-            for t in tokens {
-                match *t {
-                    ThToken::Thai(b) => {
-                        debug_assert!(thai::is_thai_byte(b), "invalid Thai byte {b:02X}");
-                        out.push(b);
-                    }
-                    ThToken::Ascii(b) => out.push(b & 0x7F),
-                }
+    let Some(enc) = ThaiEncoder::new(charset) else {
+        panic!("charset {charset} cannot encode Thai text")
+    };
+    let mut out = Vec::with_capacity(tokens.len() * if enc.utf8 { 3 } else { 1 });
+    for &t in tokens {
+        enc.encode_token(t, &mut out);
+    }
+    out
+}
+
+/// Incremental Thai encoder (see [`JapaneseEncoder`]).
+#[derive(Debug, Clone, Copy)]
+pub struct ThaiEncoder {
+    utf8: bool,
+}
+
+impl ThaiEncoder {
+    /// An encoder for `charset`, or `None` if it cannot carry Thai.
+    pub fn new(charset: Charset) -> Option<Self> {
+        match charset {
+            Charset::Tis620 | Charset::Windows874 | Charset::Iso885911 => {
+                Some(ThaiEncoder { utf8: false })
             }
-            out
+            Charset::Utf8 => Some(ThaiEncoder { utf8: true }),
+            _ => None,
         }
-        Charset::Utf8 => {
-            let mut s = String::with_capacity(tokens.len() * 3);
-            for t in tokens {
-                match *t {
-                    ThToken::Thai(b) => {
-                        s.push(thai::to_unicode(b).expect("generator uses assigned bytes"));
-                    }
-                    ThToken::Ascii(b) => s.push((b & 0x7F) as char),
-                }
+    }
+
+    /// Append one token's bytes.
+    ///
+    /// # Panics
+    /// Panics on a UTF-8 encoder given a byte outside the assigned TIS-620
+    /// range (the generator only emits assigned bytes).
+    #[inline]
+    pub fn encode_token(self, t: ThToken, out: &mut Vec<u8>) {
+        match t {
+            ThToken::Thai(b) if self.utf8 => {
+                push_char(
+                    out,
+                    thai::to_unicode(b).expect("generator uses assigned bytes"),
+                );
             }
-            s.into_bytes()
+            ThToken::Thai(b) => {
+                debug_assert!(thai::is_thai_byte(b), "invalid Thai byte {b:02X}");
+                out.push(b);
+            }
+            ThToken::Ascii(b) => out.push(b & 0x7F),
         }
-        other => panic!("charset {other} cannot encode Thai text"),
     }
 }
 
-/// Encode plain ASCII text (the "irrelevant page" filler for English-like
-/// pages; also valid Latin-1 and UTF-8 by construction).
-pub fn encode_ascii(text: &str) -> Vec<u8> {
-    text.bytes().map(|b| b & 0x7F).collect()
+/// Append `c` as UTF-8. The incremental encoders write byte by byte with
+/// `push` only, so a warm output buffer never reallocates.
+#[inline]
+pub(crate) fn push_char(out: &mut Vec<u8>, c: char) {
+    let mut buf = [0u8; 4];
+    for &b in c.encode_utf8(&mut buf).as_bytes() {
+        out.push(b);
+    }
+}
+
+/// Append a double-byte code.
+#[inline]
+pub(crate) fn push_pair(out: &mut Vec<u8>, [lead, trail]: [u8; 2]) {
+    out.push(lead);
+    out.push(trail);
+}
+
+/// Append an ISO-2022 designation `ESC <intermediate> B`.
+#[inline]
+fn push_escape(out: &mut Vec<u8>, intermediate: u8) {
+    out.push(0x1B);
+    out.push(intermediate);
+    out.push(b'B');
 }
 
 /// A fixed Japanese demo phrase as tokens (hiragana "konnichiwa" +
@@ -267,11 +314,6 @@ mod tests {
         let toks = vec![JaToken::K(Kuten::new(4, 2).unwrap())];
         let bytes = encode_japanese(&toks, Charset::Iso2022Jp);
         assert!(bytes.ends_with(&[0x1B, b'(', b'B']));
-    }
-
-    #[test]
-    fn ascii_passthrough() {
-        assert_eq!(encode_ascii("abc"), b"abc");
     }
 
     #[test]

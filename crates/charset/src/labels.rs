@@ -25,7 +25,8 @@ use crate::types::Charset;
 /// assert_eq!(charset_from_label("klingon-8"), Charset::Unknown);
 /// ```
 pub fn charset_from_label(label: &str) -> Charset {
-    let trimmed = label.trim_matches(|c: char| c.is_ascii_whitespace() || c == '"' || c == '\'');
+    let trimmed: &str =
+        label.trim_matches(|c: char| c.is_ascii_whitespace() || c == '"' || c == '\'');
     // Labels are short; a stack buffer lowercase avoids allocation on the
     // hot path (every crawled page consults this).
     let mut buf = [0u8; 32];

@@ -4,11 +4,15 @@
 //! like the paper's trace-driven system. Content mode goes one layer
 //! deeper: **everything the crawler learns, it learns from page bytes.**
 //! Each fetch renders the page as HTML in its true charset
-//! ([`langcrawl_webgraph::WebSpace::synthesize_page`]), the classifier
-//! runs the real §3.2 pipeline (META tag, then the byte-distribution
-//! detector), links are extracted by the real HTML scanner, resolved
-//! against the page URL, and routed through the URL index — the whole
-//! crawler stack with no shortcuts.
+//! ([`langcrawl_webgraph::WebSpace::synthesize_page_into`]), the
+//! classifier runs the real §3.2 pipeline (META tag, then the
+//! byte-distribution detector), links are extracted by the real HTML
+//! scanner, resolved against the page URL, and routed through the URL
+//! index — the whole crawler stack with no shortcuts.
+//!
+//! The fetch path is allocation-free once warm: the body, the page URL,
+//! the link extractor's buffers and the resolved-link list live in a
+//! [`FetchScratch`] kept on the simulator across fetches and runs.
 //!
 //! It is orders of magnitude slower per page, so the figure harnesses
 //! stay in metadata mode; content mode validates that the two agree
@@ -19,8 +23,7 @@ use crate::metrics::{CrawlReport, Sample};
 use crate::queue::{Entry, UrlQueue};
 use crate::strategy::{PageView, Strategy};
 use langcrawl_charset::{detect_with, DetectorConfig, Language};
-use langcrawl_html::{extract_links, extract_meta_charset};
-use langcrawl_url::Url;
+use langcrawl_html::{extract_meta_charset, LinkExtractor};
 use langcrawl_webgraph::index::UrlIndex;
 use langcrawl_webgraph::{PageId, WebSpace};
 
@@ -68,6 +71,26 @@ pub struct ContentSimulator<'a> {
     ws: &'a WebSpace,
     index: UrlIndex,
     config: ContentConfig,
+    scratch: FetchScratch,
+}
+
+/// Per-fetch buffers, reused across fetches and runs.
+#[derive(Debug, Default)]
+struct FetchScratch {
+    /// The rendered page.
+    body: Vec<u8>,
+    /// The page's URL, the base its links resolve against.
+    url: String,
+    links: LinkExtractor,
+    /// The page's outlinks, resolved and deduplicated by page id in
+    /// first-appearance order. The index maps each page to exactly one
+    /// canonical URL, so this is the order and set the canonical strings
+    /// themselves would give.
+    resolved: Vec<PageId>,
+    admissions: Vec<Entry>,
+    /// `seen[t] == stamp` marks page `t` as already in `resolved`.
+    seen: Vec<u32>,
+    stamp: u32,
 }
 
 impl<'a> ContentSimulator<'a> {
@@ -78,14 +101,21 @@ impl<'a> ContentSimulator<'a> {
             ws,
             index: UrlIndex::build(ws),
             config,
+            scratch: FetchScratch::default(),
         }
     }
 
+    /// The simulation parameters, for adjusting between runs (the
+    /// per-fetch buffers stay warm across them).
+    pub fn config_mut(&mut self) -> &mut ContentConfig {
+        &mut self.config
+    }
+
     /// Classify rendered page bytes per the configured §3.2 pipeline.
-    fn classify(&self, bytes: &[u8], target: Language) -> f64 {
+    fn classify(config: &ContentConfig, bytes: &[u8], target: Language) -> f64 {
         let meta_lang = || extract_meta_charset(bytes).and_then(|cs| cs.language());
-        let detector_lang = || detect_with(bytes, &self.config.detector).language();
-        let judged = match self.config.classifier {
+        let detector_lang = || detect_with(bytes, &config.detector).language();
+        let judged = match config.classifier {
             ContentClassifier::MetaOnly => meta_lang(),
             ContentClassifier::DetectorOnly => detector_lang(),
             ContentClassifier::MetaThenDetector => meta_lang().or_else(detector_lang),
@@ -95,6 +125,62 @@ impl<'a> ContentSimulator<'a> {
         } else {
             0.0
         }
+    }
+
+    /// Fetch one page: render it into the scratch body, classify the
+    /// bytes, and resolve its links into `scratch.resolved`. Returns the
+    /// relevance verdict.
+    // lint:root(alloc-free) — once per fetch; every buffer lives in FetchScratch
+    fn fetch_page(&mut self, p: PageId, target: Language) -> f64 {
+        let (ws, index) = (self.ws, &self.index);
+        let s = &mut self.scratch;
+        // Fetch: the virtual web serves bytes (empty for failures).
+        ws.synthesize_page_into(p, &mut s.body);
+        let is_html = ws.meta(p).is_ok_html();
+        let relevance = if is_html && !s.body.is_empty() {
+            Self::classify(&self.config, &s.body, target)
+        } else {
+            0.0
+        };
+
+        // Link extraction + resolution, all at the byte level.
+        s.resolved.clear();
+        if !is_html {
+            return relevance;
+        }
+        s.url.clear();
+        ws.write_url(p, &mut s.url);
+        if s.links.set_base(&s.url).is_err() {
+            return relevance;
+        }
+        s.stamp = s.stamp.wrapping_add(1);
+        if s.stamp == 0 {
+            // Stamp wrap: forget every mark so none can alias.
+            s.seen.fill(0);
+            s.stamp = 1;
+        }
+        let FetchScratch {
+            body,
+            links,
+            resolved,
+            seen,
+            stamp,
+            ..
+        } = s;
+        links.for_each_link(body, |url| {
+            // Unresolvable links = dangling URLs; a real crawler would
+            // fetch-and-404 them. The generator emits none, so nothing is
+            // silently dropped.
+            if let Some(t) = index.resolve(url) {
+                if let Some(mark) = seen.get_mut(t as usize) {
+                    if *mark != *stamp {
+                        *mark = *stamp;
+                        resolved.push(t);
+                    }
+                }
+            }
+        });
+        relevance
     }
 
     /// Run one crawl, learning everything from bytes.
@@ -119,22 +205,15 @@ impl<'a> ContentSimulator<'a> {
 
         let mut crawled = 0u64;
         let mut relevant_crawled = 0u64;
-        let mut samples = Vec::new();
-        let mut admissions: Vec<Entry> = Vec::with_capacity(64);
-        let mut resolved: Vec<PageId> = Vec::with_capacity(64);
+        let mut samples = Vec::with_capacity((n as u64 / sample_interval) as usize + 2);
+        let s = &mut self.scratch;
+        s.seen.resize(n, 0);
 
         while let Some(entry) = queue.pop() {
             let p = entry.page;
             crawled += 1;
 
-            // Fetch: the virtual web serves bytes (empty for failures).
-            let bytes = ws.synthesize_page(p);
-            let is_html = ws.meta(p).is_ok_html();
-            let relevance = if is_html && !bytes.is_empty() {
-                self.classify(&bytes, target)
-            } else {
-                0.0
-            };
+            let relevance = self.fetch_page(p, target);
             if ws.is_relevant(p) {
                 relevant_crawled += 1;
             }
@@ -144,31 +223,17 @@ impl<'a> ContentSimulator<'a> {
                 entry.distance.saturating_add(1)
             };
 
-            // Link extraction + resolution, all at the byte/string level.
-            resolved.clear();
-            if is_html {
-                if let Ok(base) = Url::parse(&ws.url(p)) {
-                    for link in extract_links(&bytes, &base) {
-                        if let Some(t) = self.index.resolve(&link) {
-                            resolved.push(t);
-                        }
-                        // Unresolvable links = dangling URLs; a real
-                        // crawler would fetch-and-404 them. The generator
-                        // emits none, so nothing is silently dropped.
-                    }
-                }
-            }
-
+            let s = &mut self.scratch;
             let view = PageView {
                 page: p,
                 relevance,
                 consec_irrelevant: consec,
-                outlinks: &resolved,
+                outlinks: &s.resolved,
                 crawled,
             };
-            admissions.clear();
-            strategy.admit(&view, &mut admissions);
-            for &a in &admissions {
+            s.admissions.clear();
+            strategy.admit(&view, &mut s.admissions);
+            for &a in &s.admissions {
                 queue.push(a);
             }
 

@@ -21,41 +21,25 @@ pub fn decode_entities(s: &str) -> String {
         return s.to_string();
     }
     let mut out = String::with_capacity(s.len());
+    decode_entities_into(s, &mut out);
+    out
+}
+
+/// [`decode_entities`] into a reused buffer (cleared first).
+pub fn decode_entities_into(s: &str, out: &mut String) {
+    out.clear();
     let bytes = s.as_bytes();
     let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'&' {
-            // Copy one full UTF-8 char.
-            let ch_end = next_char_boundary(s, i);
-            out.push_str(&s[i..ch_end]);
-            i = ch_end;
-            continue;
-        }
+    while let Some(off) = bytes[i..].iter().position(|&b| b == b'&') {
+        // Copy up to the '&' (ASCII, so a char boundary) verbatim.
+        out.push_str(&s[i..i + off]);
+        i += off;
         // Find the terminating ';' within a reasonable window.
         let window_end = (i + 12).min(bytes.len());
         let semi = bytes[i + 1..window_end].iter().position(|&b| b == b';');
-        let Some(off) = semi else {
-            out.push('&');
-            i += 1;
-            continue;
-        };
-        let name = &s[i + 1..i + 1 + off];
-        let decoded: Option<char> = match name {
-            "amp" => Some('&'),
-            "lt" => Some('<'),
-            "gt" => Some('>'),
-            "quot" => Some('"'),
-            "apos" => Some('\''),
-            _ if name.starts_with("#x") || name.starts_with("#X") => {
-                u32::from_str_radix(&name[2..], 16)
-                    .ok()
-                    .and_then(char::from_u32)
-            }
-            _ if name.starts_with('#') => name[1..].parse::<u32>().ok().and_then(char::from_u32),
-            _ => None,
-        };
+        let decoded = semi.and_then(|off| decode_entity(&s[i + 1..i + 1 + off]).map(|c| (c, off)));
         match decoded {
-            Some(c) => {
+            Some((c, off)) => {
                 out.push(c);
                 i += 1 + off + 1; // '&' + name + ';'
             }
@@ -65,15 +49,26 @@ pub fn decode_entities(s: &str) -> String {
             }
         }
     }
-    out
+    out.push_str(&s[i..]);
 }
 
-fn next_char_boundary(s: &str, i: usize) -> usize {
-    let mut j = i + 1;
-    while j < s.len() && !s.is_char_boundary(j) {
-        j += 1;
+/// The character an entity name (between `&` and `;`) stands for.
+fn decode_entity(name: &str) -> Option<char> {
+    let digits: &str = name.get(1..).unwrap_or_default();
+    match name {
+        "amp" => Some('&'),
+        "lt" => Some('<'),
+        "gt" => Some('>'),
+        "quot" => Some('"'),
+        "apos" => Some('\''),
+        _ if name.starts_with("#x") || name.starts_with("#X") => {
+            u32::from_str_radix(&name[2..], 16)
+                .ok()
+                .and_then(char::from_u32)
+        }
+        _ if name.starts_with('#') => digits.parse::<u32>().ok().and_then(char::from_u32),
+        _ => None,
     }
-    j
 }
 
 #[cfg(test)]

@@ -27,6 +27,6 @@ pub mod links;
 pub mod meta;
 pub mod tokenizer;
 
-pub use links::{extract_links, extract_raw_refs};
+pub use links::{extract_links, extract_raw_refs, for_each_ref, LinkExtractor};
 pub use meta::extract_meta_charset;
-pub use tokenizer::{Attr, Tag, Tokenizer};
+pub use tokenizer::{Attr, Attrs, Tag, Tokenizer};

@@ -6,9 +6,9 @@
 //! sources are *not* crawl candidates (they are never HTML). `<base
 //! href>` changes the resolution base for everything after it.
 
-use crate::entities::decode_entities;
+use crate::entities::decode_entities_into;
 use crate::tokenizer::Tokenizer;
-use langcrawl_url::{normalize, resolve, Url};
+use langcrawl_url::{Canonicalizer, ParseError, Url};
 
 /// Extract, resolve and normalize the outlinks of a page.
 ///
@@ -30,50 +30,170 @@ use langcrawl_url::{normalize, resolve, Url};
 /// ]);
 /// ```
 pub fn extract_links(page: &[u8], page_url: &Url) -> Vec<String> {
-    let mut base = page_url.clone();
+    let mut extractor = LinkExtractor::new();
+    extractor.set_base_url(page_url);
     let mut seen = std::collections::HashSet::new();
     let mut out = Vec::new();
-    for (tag_name, raw) in extract_raw_refs(page) {
-        if tag_name == b"base".as_slice() {
-            if let Ok(u) = resolve(&base, &raw) {
-                base = u;
-            }
-            continue;
+    extractor.for_each_link(page, |canon| {
+        if !seen.contains(canon) {
+            seen.insert(canon.to_string());
+            out.push(canon.to_string());
         }
-        if let Ok(u) = resolve(&base, &raw) {
-            let canon = normalize(&u);
-            if seen.insert(canon.clone()) {
-                out.push(canon);
-            }
-        }
-    }
+    });
     out
 }
 
-/// Extract raw (unresolved) link references with their tag of origin.
-/// Exposed for tests and for tooling that wants pre-resolution hrefs.
+/// Extract raw (unresolved) link references with their tag of origin
+/// (lowercased). Exposed for tests and for tooling that wants
+/// pre-resolution hrefs.
 pub fn extract_raw_refs(page: &[u8]) -> Vec<(Vec<u8>, String)> {
+    let mut text = RefText::default();
     let mut out = Vec::new();
+    for_each_ref(page, |tag, span| {
+        let raw = text.text_of(span);
+        if !raw.is_empty() {
+            out.push((tag.to_ascii_lowercase(), raw.to_string()));
+        }
+    });
+    out
+}
+
+/// Visit the link references of a page as borrowed byte spans, in
+/// document order: `f(tag_name, value)` for the `href` of `<a>`,
+/// `<area>`, `<link>` and `<base>` and the `src` of `<frame>` and
+/// `<iframe>`. The tag name is as written; the value is the raw attribute
+/// bytes, entities and surrounding whitespace included.
+// lint:root(alloc-free) — the per-fetch link scan in content mode
+pub fn for_each_ref<'a>(page: &'a [u8], mut f: impl FnMut(&'a [u8], &'a [u8])) {
     for tag in Tokenizer::new(page) {
         if tag.closing {
             continue;
         }
-        let attr_name: &str = if tag.is("a") || tag.is("area") || tag.is("link") || tag.is("base") {
-            "href"
-        } else if tag.is("frame") || tag.is("iframe") {
-            "src"
-        } else {
+        let Some(attr_name) = link_attr(tag.name) else {
             continue;
         };
         if let Some(attr) = tag.attr(attr_name) {
-            let raw = decode_entities(attr.value_str().trim());
-            if raw.is_empty() {
-                continue;
-            }
-            out.push((tag.name.clone(), raw));
+            f(tag.name, attr.value);
         }
     }
-    out
+}
+
+/// The attribute that carries a link on tag `name`, if it is a link tag.
+fn link_attr(name: &[u8]) -> Option<&'static str> {
+    let is = |tag: &[u8]| name.eq_ignore_ascii_case(tag);
+    match name.len() {
+        1 if is(b"a") => Some("href"),
+        4 if is(b"area") || is(b"link") || is(b"base") => Some("href"),
+        5 if is(b"frame") => Some("src"),
+        6 if is(b"iframe") => Some("src"),
+        _ => None,
+    }
+}
+
+/// Turns a raw attribute span into the reference text the URL layer
+/// sees: UTF-8-lossy, whitespace-trimmed, entities decoded. Spans that
+/// are valid UTF-8 without `&` — nearly all of them — are borrowed; the
+/// rest are rebuilt in buffers reused from span to span.
+#[derive(Debug, Default)]
+struct RefText {
+    lossy: String,
+    decoded: String,
+}
+
+impl RefText {
+    fn text_of<'s>(&'s mut self, span: &'s [u8]) -> &'s str {
+        let text: &str = match std::str::from_utf8(span) {
+            Ok(s) => s,
+            Err(_) => {
+                self.lossy.clear();
+                for chunk in span.utf8_chunks() {
+                    self.lossy.push_str(chunk.valid());
+                    if !chunk.invalid().is_empty() {
+                        self.lossy.push(char::REPLACEMENT_CHARACTER);
+                    }
+                }
+                &self.lossy
+            }
+        };
+        let text = text.trim();
+        if !text.contains('&') {
+            return text;
+        }
+        decode_entities_into(text, &mut self.decoded);
+        &self.decoded
+    }
+}
+
+/// Reusable link extractor: scans a page's link spans, follows `<base
+/// href>`, and hands each outlink's canonical URL to a callback. Every
+/// buffer it needs is kept between pages, so once warm a page costs no
+/// allocation. [`extract_links`] is this plus first-appearance dedup.
+///
+/// ```
+/// use langcrawl_html::LinkExtractor;
+///
+/// let mut ex = LinkExtractor::new();
+/// ex.set_base("http://h.th/a/b.html").unwrap();
+/// let mut links = Vec::new();
+/// ex.for_each_link(br#"<a href="c.html"><base href="/x/"><a href="y">"#, |u| {
+///     links.push(u.to_string())
+/// });
+/// assert_eq!(links, ["http://h.th/a/c.html", "http://h.th/x/y"]);
+/// ```
+#[derive(Debug)]
+pub struct LinkExtractor {
+    canon: Canonicalizer,
+    base: Url,
+    text: RefText,
+}
+
+impl Default for LinkExtractor {
+    fn default() -> Self {
+        LinkExtractor::new()
+    }
+}
+
+impl LinkExtractor {
+    /// An extractor with empty buffers. Until [`LinkExtractor::set_base`]
+    /// is called, links resolve against the placeholder `http://invalid/`.
+    pub fn new() -> Self {
+        LinkExtractor {
+            canon: Canonicalizer::new(),
+            base: Url::parse("http://invalid/").expect("placeholder URL parses"),
+            text: RefText::default(),
+        }
+    }
+
+    /// Parse `page_url` as the base for the next page, reusing buffers.
+    /// On error the previous base is kept.
+    pub fn set_base(&mut self, page_url: &str) -> Result<(), ParseError> {
+        self.canon.parse_into(page_url, &mut self.base)
+    }
+
+    /// Use an already-parsed URL as the base for the next page.
+    pub fn set_base_url(&mut self, page_url: &Url) {
+        self.base.clone_from(page_url);
+    }
+
+    /// Scan `page` and call `f` with the canonical URL of every link that
+    /// resolves to a web URL, in document order, duplicates included.
+    /// `<base href>` rebases the links after it (and persists until the
+    /// next `set_base`).
+    // lint:root(alloc-free) — once per fetched HTML page in content mode
+    pub fn for_each_link(&mut self, page: &[u8], mut f: impl FnMut(&str)) {
+        let LinkExtractor { canon, base, text } = self;
+        for_each_ref(page, |tag, span| {
+            let raw = text.text_of(span);
+            if raw.is_empty() {
+                return;
+            }
+            if tag.eq_ignore_ascii_case(b"base") {
+                let _ = canon.rebase(base, raw);
+            } else if let Ok(url) = canon.canonicalize(base, raw) {
+                f(url);
+            }
+        });
+    }
 }
 
 #[cfg(test)]

@@ -2,50 +2,156 @@
 //!
 //! Yields start/end tags with their attributes, skipping comments,
 //! doctypes, and the raw-text interiors of `<script>` and `<style>`.
-//! Text content is not tokenized — the crawler only consumes tags.
+//! Text content is not tokenized — the crawler only consumes tags — and
+//! is skipped to the next `<` eight bytes at a time.
+//!
+//! Tags borrow the input: a [`Tag`] is the tag's name span plus the span
+//! of its attribute region, and [`Tag::attrs`] re-reads that region on
+//! demand, so tokenizing a page allocates nothing.
 //!
 //! Real 2004-era HTML is deeply malformed; every branch here errs toward
 //! "keep scanning" rather than "reject the page".
 
-/// One attribute: name (lowercased) and raw value bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Attr {
-    /// Attribute name, ASCII-lowercased.
-    pub name: Vec<u8>,
+use std::borrow::Cow;
+
+/// One attribute: name and raw value bytes, borrowed from the page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Attr<'a> {
+    /// Attribute name as written (compare with `eq_ignore_ascii_case`).
+    pub name: &'a [u8],
     /// Attribute value with quotes stripped; empty for bare attributes.
-    pub value: Vec<u8>,
+    pub value: &'a [u8],
 }
 
-impl Attr {
+impl<'a> Attr<'a> {
     /// Value as UTF-8-lossy text (attribute values the crawler consumes —
-    /// URLs and charset labels — are ASCII in practice).
-    pub fn value_str(&self) -> String {
-        String::from_utf8_lossy(&self.value).into_owned()
+    /// URLs and charset labels — are ASCII in practice, and then this
+    /// borrows).
+    pub fn value_str(&self) -> Cow<'a, str> {
+        String::from_utf8_lossy(self.value)
     }
 }
 
 /// One parsed tag.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tag {
-    /// Tag name, ASCII-lowercased (`a`, `meta`, `base`, …).
-    pub name: Vec<u8>,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tag<'a> {
+    /// Tag name as written (`a`, `META`, …); see [`Tag::is`].
+    pub name: &'a [u8],
     /// True for `</...>` end tags (attributes are not parsed for these).
     pub closing: bool,
-    /// Attributes in document order.
-    pub attrs: Vec<Attr>,
+    /// The attribute region: everything between the name and the `>`.
+    /// Empty for end tags.
+    region: &'a [u8],
+    /// The first attribute, read while finding the tag's end: looking it
+    /// up again needs no re-scan (`<a href>` is the tag a crawler reads).
+    first: Option<Attr<'a>>,
 }
 
-impl Tag {
-    /// Look up an attribute value by (case-insensitive) name.
-    pub fn attr(&self, name: &str) -> Option<&Attr> {
-        self.attrs
-            .iter()
-            .find(|a| a.name.eq_ignore_ascii_case(name.as_bytes()))
+impl<'a> Tag<'a> {
+    /// Attributes in document order.
+    pub fn attrs(&self) -> Attrs<'a> {
+        Attrs {
+            input: self.region,
+            pos: 0,
+        }
+    }
+
+    /// Look up an attribute by (case-insensitive) name; the first one
+    /// wins.
+    pub fn attr(&self, name: &str) -> Option<Attr<'a>> {
+        let named = |a: &Attr<'_>| a.name.eq_ignore_ascii_case(name.as_bytes());
+        match self.first {
+            Some(a) if named(&a) => Some(a),
+            _ => self.attrs().find(named),
+        }
     }
 
     /// Is this tag named `name` (case-insensitive)?
     pub fn is(&self, name: &str) -> bool {
         self.name.eq_ignore_ascii_case(name.as_bytes())
+    }
+}
+
+/// Iterator over the attributes of a tag region. It stops at the
+/// region's end, or at a `>` or `<` outside a quoted value — which is how
+/// the tokenizer finds where a tag ends.
+#[derive(Debug, Clone)]
+pub struct Attrs<'a> {
+    input: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Attrs<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.input.get(self.pos).copied()
+    }
+
+    fn skip_while(&mut self, pred: impl Fn(u8) -> bool) {
+        while self.peek().is_some_and(&pred) {
+            self.pos += 1;
+        }
+    }
+
+    fn read_attr(&mut self) -> Option<Attr<'a>> {
+        let name_start = self.pos;
+        self.skip_while(|b| !(b.is_ascii_whitespace() || matches!(b, b'=' | b'>' | b'/' | b'<')));
+        if self.pos == name_start {
+            // Defensive: consume one byte so the caller's loop advances.
+            self.pos += 1;
+            return None;
+        }
+        let name = &self.input[name_start..self.pos];
+        // Optional "= value".
+        self.skip_while(|b| b.is_ascii_whitespace());
+        if self.peek() != Some(b'=') {
+            return Some(Attr { name, value: &[] });
+        }
+        self.pos += 1; // '='
+        self.skip_while(|b| b.is_ascii_whitespace());
+        let value = match self.peek() {
+            Some(q @ (b'"' | b'\'')) => {
+                // Quoted: runs to the closing quote, or to the end of input.
+                let start = self.pos + 1;
+                let rest = &self.input[start..];
+                match find_byte(q, rest) {
+                    Some(len) => {
+                        self.pos = start + len + 1;
+                        &rest[..len]
+                    }
+                    None => {
+                        self.pos = self.input.len();
+                        rest
+                    }
+                }
+            }
+            _ => {
+                let start = self.pos;
+                self.skip_while(|b| !(b.is_ascii_whitespace() || b == b'>'));
+                &self.input[start..self.pos]
+            }
+        };
+        Some(Attr { name, value })
+    }
+}
+
+impl<'a> Iterator for Attrs<'a> {
+    type Item = Attr<'a>;
+
+    fn next(&mut self) -> Option<Attr<'a>> {
+        loop {
+            // Skip whitespace and stray '/' (self-closing slash).
+            self.skip_while(|b| b.is_ascii_whitespace() || b == b'/');
+            match self.peek() {
+                // End of region, end of tag, or an unclosed tag with the
+                // next one beginning.
+                None | Some(b'>' | b'<') => return None,
+                _ => {
+                    if let Some(attr) = self.read_attr() {
+                        return Some(attr);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -66,39 +172,33 @@ impl<'a> Tokenizer<'a> {
         self.input.get(self.pos).copied()
     }
 
-    fn starts_with_ci(&self, s: &[u8]) -> bool {
-        self.input[self.pos..]
-            .get(..s.len())
-            .is_some_and(|head| head.eq_ignore_ascii_case(s))
-    }
-
     /// Advance past `<!-- ... -->` (or to EOF).
     fn skip_comment(&mut self) {
         self.pos += 4; // "<!--"
-        while self.pos < self.input.len() {
+        while let Some(off) = find_byte(b'-', &self.input[self.pos..]) {
+            self.pos += off;
             if self.input[self.pos..].starts_with(b"-->") {
                 self.pos += 3;
                 return;
             }
             self.pos += 1;
         }
+        self.pos = self.input.len();
     }
 
     /// Advance past `<! ... >` (doctype, CDATA-ish constructs).
     fn skip_bang(&mut self) {
-        while let Some(b) = self.peek() {
-            self.pos += 1;
-            if b == b'>' {
-                return;
-            }
-        }
+        self.pos = match find_byte(b'>', &self.input[self.pos..]) {
+            Some(off) => self.pos + off + 1,
+            None => self.input.len(),
+        };
     }
 
     /// Advance past raw text until the matching `</name` appears.
     fn skip_rawtext(&mut self, name: &[u8]) {
-        while self.pos < self.input.len() {
-            if self.input[self.pos] == b'<'
-                && self.input.get(self.pos + 1) == Some(&b'/')
+        while let Some(off) = find_byte(b'<', &self.input[self.pos..]) {
+            self.pos += off;
+            if self.input.get(self.pos + 1) == Some(&b'/')
                 && self.input[self.pos + 2..]
                     .get(..name.len())
                     .is_some_and(|head| head.eq_ignore_ascii_case(name))
@@ -107,9 +207,10 @@ impl<'a> Tokenizer<'a> {
             }
             self.pos += 1;
         }
+        self.pos = self.input.len();
     }
 
-    fn read_tag(&mut self) -> Option<Tag> {
+    fn read_tag(&mut self) -> Option<Tag<'a>> {
         // self.pos is at '<'.
         self.pos += 1;
         let closing = self.peek() == Some(b'/');
@@ -128,126 +229,64 @@ impl<'a> Tokenizer<'a> {
             // "<" followed by junk: treat as text, resume scanning.
             return None;
         }
-        let name: Vec<u8> = self.input[name_start..self.pos]
-            .iter()
-            .map(|b| b.to_ascii_lowercase())
-            .collect();
-        let mut attrs = Vec::new();
-        loop {
-            // Skip whitespace and stray '/' (self-closing slash).
-            while matches!(self.peek(), Some(b) if b.is_ascii_whitespace() || b == b'/') {
-                self.pos += 1;
-            }
-            match self.peek() {
-                None => break,
-                Some(b'>') => {
-                    self.pos += 1;
-                    break;
-                }
-                Some(b'<') => break, // unclosed tag; let the next tag begin
-                _ => {
-                    if let Some(attr) = self.read_attr() {
-                        if !closing {
-                            attrs.push(attr);
-                        }
-                    }
-                }
-            }
-        }
-        Some(Tag {
-            name,
-            closing,
-            attrs,
-        })
-    }
-
-    fn read_attr(&mut self) -> Option<Attr> {
-        let name_start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_whitespace() || matches!(b, b'=' | b'>' | b'/' | b'<') {
-                break;
-            }
-            self.pos += 1;
-        }
-        if self.pos == name_start {
-            // Defensive: consume one byte so the caller's loop advances.
-            self.pos += 1;
-            return None;
-        }
-        let name: Vec<u8> = self.input[name_start..self.pos]
-            .iter()
-            .map(|b| b.to_ascii_lowercase())
-            .collect();
-        // Optional "= value".
-        while matches!(self.peek(), Some(b) if b.is_ascii_whitespace()) {
-            self.pos += 1;
-        }
-        if self.peek() != Some(b'=') {
-            return Some(Attr {
-                name,
-                value: Vec::new(),
-            });
-        }
-        self.pos += 1; // '='
-        while matches!(self.peek(), Some(b) if b.is_ascii_whitespace()) {
-            self.pos += 1;
-        }
-        let value = match self.peek() {
-            Some(q @ (b'"' | b'\'')) => {
-                self.pos += 1;
-                let start = self.pos;
-                while let Some(b) = self.peek() {
-                    if b == q {
-                        break;
-                    }
-                    self.pos += 1;
-                }
-                let v = self.input[start..self.pos].to_vec();
-                if self.peek() == Some(q) {
-                    self.pos += 1;
-                }
-                v
-            }
-            _ => {
-                let start = self.pos;
-                while let Some(b) = self.peek() {
-                    if b.is_ascii_whitespace() || b == b'>' {
-                        break;
-                    }
-                    self.pos += 1;
-                }
-                self.input[start..self.pos].to_vec()
-            }
+        let name = &self.input[name_start..self.pos];
+        // Run the attribute scanner to find where the tag ends.
+        let mut attrs = Attrs {
+            input: self.input,
+            pos: self.pos,
         };
-        Some(Attr { name, value })
+        let first = attrs.next();
+        if first.is_some() {
+            while attrs.next().is_some() {}
+        }
+        let region = &self.input[self.pos..attrs.pos];
+        self.pos = attrs.pos;
+        if self.peek() == Some(b'>') {
+            self.pos += 1;
+        }
+        Some(if closing {
+            Tag {
+                name,
+                closing,
+                region: &[],
+                first: None,
+            }
+        } else {
+            Tag {
+                name,
+                closing,
+                region,
+                first,
+            }
+        })
     }
 }
 
 impl<'a> Iterator for Tokenizer<'a> {
-    type Item = Tag;
+    type Item = Tag<'a>;
 
-    fn next(&mut self) -> Option<Tag> {
+    fn next(&mut self) -> Option<Tag<'a>> {
         while self.pos < self.input.len() {
             // Scan to the next '<'.
-            match memchr(b'<', &self.input[self.pos..]) {
+            match find_byte(b'<', &self.input[self.pos..]) {
                 None => {
                     self.pos = self.input.len();
                     return None;
                 }
                 Some(off) => self.pos += off,
             }
-            if self.starts_with_ci(b"<!--") {
-                self.skip_comment();
-                continue;
-            }
-            if self.peek() == Some(b'<') && self.input.get(self.pos + 1) == Some(&b'!') {
-                self.skip_bang();
+            if self.input.get(self.pos + 1) == Some(&b'!') {
+                if self.input[self.pos + 2..].starts_with(b"--") {
+                    self.skip_comment();
+                } else {
+                    self.skip_bang();
+                }
                 continue;
             }
             let before = self.pos;
             if let Some(tag) = self.read_tag() {
                 if !tag.closing && (tag.is("script") || tag.is("style")) {
-                    self.skip_rawtext(&tag.name.clone());
+                    self.skip_rawtext(tag.name);
                 }
                 return Some(tag);
             }
@@ -258,18 +297,33 @@ impl<'a> Iterator for Tokenizer<'a> {
     }
 }
 
-/// Forward byte search (std has no stable memchr; this is the simple
-/// scalar loop, fast enough because LLVM vectorises it).
+/// Position of the first `needle` in `haystack`, eight bytes at a time:
+/// XOR each word with the needle splatted to every lane, then the
+/// classic "has zero byte" test. Bits of the test can only be spurious
+/// *above* a true match, so the lowest set bit is always the first one.
 #[inline]
-fn memchr(needle: u8, haystack: &[u8]) -> Option<usize> {
-    haystack.iter().position(|&b| b == needle)
+pub(crate) fn find_byte(needle: u8, haystack: &[u8]) -> Option<usize> {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    let splat = LO * needle as u64;
+    let (words, tail) = haystack.as_chunks::<8>();
+    for (i, w) in words.iter().enumerate() {
+        let x = u64::from_le_bytes(*w) ^ splat;
+        let hit = x.wrapping_sub(LO) & !x & HI;
+        if hit != 0 {
+            return Some(i * 8 + (hit.trailing_zeros() / 8) as usize);
+        }
+    }
+    tail.iter()
+        .position(|&b| b == needle)
+        .map(|off| words.len() * 8 + off)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tags(html: &str) -> Vec<Tag> {
+    fn tags(html: &str) -> Vec<Tag<'_>> {
         Tokenizer::new(html.as_bytes()).collect()
     }
 

@@ -25,16 +25,23 @@
 //! let b = normalize(&Url::parse("http://example.ac.th/a/b/~user").unwrap());
 //! assert_eq!(a, b);
 //! ```
+//!
+//! A crawler canonicalizing every link of every page uses
+//! [`Canonicalizer`] instead: the same rules over borrowed text, written
+//! into one reused buffer, with no allocation once warm. The owned-value
+//! functions above are wrappers over it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod canon;
 mod error;
 mod host;
 mod normalize;
 mod parse;
 mod resolve;
 
+pub use canon::Canonicalizer;
 pub use error::ParseError;
 pub use host::{host_kind, host_suffix, registrable_domain, HostKind};
 pub use normalize::{normalize, normalize_str};

@@ -15,8 +15,8 @@
 //!    the heuristic the paper-era crawlers applied to their logs);
 //! 6. drop an empty query (`http://h/p?` → `http://h/p`).
 
-use crate::parse::Url;
-use crate::resolve::remove_dot_segments;
+use crate::parse::{parse_parts, Parts, Url};
+use crate::resolve::{is_dot_free, remove_dots};
 
 /// Names treated as directory-index files and stripped from path ends.
 const INDEX_NAMES: [&str; 2] = ["index.html", "index.htm"];
@@ -31,83 +31,164 @@ const INDEX_NAMES: [&str; 2] = ["index.html", "index.htm"];
 /// ```
 pub fn normalize(url: &Url) -> String {
     let mut out = String::with_capacity(url.host.len() + url.path.len() + 16);
-    out.push_str(url.scheme.as_str());
-    out.push_str("://");
-    out.push_str(&url.host);
-    if !url.has_default_port() {
-        out.push(':');
-        out.push_str(itoa(url.port.expect("non-default implies explicit")).as_str());
-    }
-    let mut path = remove_dot_segments(&url.path);
-    path = decode_unreserved(&path);
-    for idx in INDEX_NAMES {
-        if let Some(stripped) = path.strip_suffix(idx) {
-            if stripped.ends_with('/') {
-                path = stripped.to_string();
-                break;
-            }
-        }
-    }
-    out.push_str(&path);
-    if let Some(q) = &url.query {
-        if !q.is_empty() {
-            out.push('?');
-            out.push_str(&decode_unreserved(q));
-        }
-    }
+    write_canonical(&Parts::of(url), &mut String::new(), &mut out);
     out
 }
 
 /// Parse then normalize in one step. Returns `None` on parse failure.
 pub fn normalize_str(input: &str) -> Option<String> {
-    Url::parse(input).ok().map(|u| normalize(&u))
+    let parts = parse_parts(input).ok()?;
+    let mut out = String::with_capacity(input.len());
+    write_canonical(&parts, &mut String::new(), &mut out);
+    Some(out)
 }
 
-fn itoa(n: u16) -> String {
-    n.to_string()
+/// Write the canonical form of `parts` into `out` (cleared first).
+/// `tmp` is scratch for dot-segment removal when the path needs it.
+pub(crate) fn write_canonical(parts: &Parts<'_>, tmp: &mut String, out: &mut String) {
+    out.clear();
+    out.push_str(parts.scheme.as_str());
+    out.push_str("://");
+    parts.push_host(out);
+    if let Some(port) = parts.port.filter(|_| !parts.has_default_port()) {
+        out.push(':');
+        push_decimal(out, port);
+    }
+    let path = if is_dot_free(parts.path) {
+        parts.path
+    } else {
+        remove_dots(parts.path, tmp);
+        tmp.as_str()
+    };
+    let path_start = out.len();
+    decode_unreserved(path, out);
+    for idx in INDEX_NAMES {
+        if let Some(stripped) = out[path_start..].strip_suffix(idx) {
+            if stripped.ends_with('/') {
+                out.truncate(path_start + stripped.len());
+                break;
+            }
+        }
+    }
+    if let Some(q) = parts.query.filter(|q| !q.is_empty()) {
+        out.push('?');
+        decode_unreserved(q, out);
+    }
 }
 
-/// Decode `%XX` escapes of unreserved characters; uppercase the hex of all
-/// other escapes; leave malformed escapes untouched (they are data).
-fn decode_unreserved(s: &str) -> String {
-    let bytes = s.as_bytes();
-    let mut out = String::with_capacity(s.len());
+/// Whether `text` is an absolute URL already in canonical form, so that
+/// canonicalizing it (as a reference against any base) returns it
+/// unchanged: a lowercase `http`/`https` scheme; a lowercase host with no
+/// userinfo or port; a dot-segment-free path with no escapes, spaces or
+/// controls that does not end in a directory-index name; no query or
+/// fragment. Conservative — anything else takes the full path.
+pub(crate) fn is_canonical(text: &str) -> bool {
+    let Some(rest) = text
+        .strip_prefix("http://")
+        .or_else(|| text.strip_prefix("https://"))
+    else {
+        return false;
+    };
+    let Some(slash) = rest.find('/') else {
+        return false;
+    };
+    let host: &str = &rest[..slash];
+    let path: &str = &rest[slash..];
+    !host.is_empty()
+        && host
+            .bytes()
+            .fold(true, |acc, b| acc & CANON_HOST[b as usize])
+        && path
+            .bytes()
+            .fold(true, |acc, b| acc & CANON_PATH[b as usize])
+        && is_dot_free(path)
+        && !INDEX_NAMES
+            .iter()
+            .any(|idx| path.strip_suffix(idx).is_some_and(|p| p.ends_with('/')))
+}
+
+/// Host bytes that canonicalization leaves alone: lowercase ASCII
+/// alphanumerics, `-`, `.`, `_`.
+static CANON_HOST: [bool; 256] = {
+    let mut table = [false; 256];
     let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' && i + 2 < bytes.len() + 1 && i + 2 < bytes.len() + 1 {
-            if let (Some(h), Some(l)) = (
-                bytes.get(i + 1).copied().and_then(hexval),
-                bytes.get(i + 2).copied().and_then(hexval),
-            ) {
+    while i < 256 {
+        let b = i as u8;
+        table[i] = b.is_ascii_lowercase() || b.is_ascii_digit() || matches!(b, b'-' | b'.' | b'_');
+        i += 1;
+    }
+    table
+};
+
+/// Path bytes that canonicalization leaves alone: anything but controls,
+/// space, `%` (escapes get rewritten), `?` and `#` (query and fragment).
+static CANON_PATH: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut i = 0;
+    while i < 256 {
+        let b = i as u8;
+        table[i] = b > b' ' && b != 0x7F && !matches!(b, b'%' | b'?' | b'#');
+        i += 1;
+    }
+    table
+};
+
+fn push_decimal(out: &mut String, n: u16) {
+    let mut digits = [0u8; 5];
+    let mut i = digits.len();
+    let mut n = n;
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    for &d in &digits[i..] {
+        out.push(char::from(d));
+    }
+}
+
+/// Append `s` with `%XX` escapes of unreserved characters decoded, the
+/// hex of all other escapes uppercased, and malformed escapes (a `%` not
+/// followed by two hex digits, including a trailing `%` or `%7`) left
+/// untouched — they are data.
+fn decode_unreserved(s: &str, out: &mut String) {
+    let bytes = s.as_bytes();
+    if !bytes.iter().fold(false, |acc, &b| acc | (b == b'%')) {
+        out.push_str(s);
+        return;
+    }
+    let mut i = 0;
+    while let Some(off) = bytes[i..].iter().position(|&b| b == b'%') {
+        // Everything up to the '%' is copied verbatim (UTF-8 passes
+        // through untouched; '%' is ASCII, so the cut is a char boundary).
+        out.push_str(&s[i..i + off]);
+        i += off;
+        let escape = match (bytes.get(i + 1), bytes.get(i + 2)) {
+            (Some(&h), Some(&l)) => hexval(h).zip(hexval(l)),
+            _ => None,
+        };
+        match escape {
+            Some((h, l)) => {
                 let v = (h << 4) | l;
                 if is_unreserved(v) {
-                    out.push(v as char);
+                    out.push(char::from(v));
                 } else {
                     out.push('%');
                     out.push(to_hex_upper(h));
                     out.push(to_hex_upper(l));
                 }
                 i += 3;
-                continue;
+            }
+            None => {
+                out.push('%');
+                i += 1;
             }
         }
-        // Plain byte (UTF-8 continuation bytes pass through untouched).
-        let ch_len = utf8_len(bytes[i]);
-        let end = (i + ch_len).min(bytes.len());
-        out.push_str(&s[i..end]);
-        i = end;
     }
-    out
-}
-
-fn utf8_len(b: u8) -> usize {
-    match b {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        0xF0..=0xF7 => 4,
-        _ => 1,
-    }
+    out.push_str(&s[i..]);
 }
 
 fn hexval(b: u8) -> Option<u8> {
@@ -120,9 +201,7 @@ fn hexval(b: u8) -> Option<u8> {
 }
 
 fn to_hex_upper(v: u8) -> char {
-    char::from_digit(v as u32, 16)
-        .expect("nibble")
-        .to_ascii_uppercase()
+    char::from(b"0123456789ABCDEF"[(v & 0xF) as usize])
 }
 
 fn is_unreserved(b: u8) -> bool {
@@ -164,6 +243,21 @@ mod tests {
     #[test]
     fn malformed_escape_untouched() {
         assert_eq!(norm("http://h/a%zzb%4"), "http://h/a%zzb%4");
+    }
+
+    #[test]
+    fn trailing_partial_escapes_untouched() {
+        assert_eq!(norm("http://h/a%"), "http://h/a%");
+        assert_eq!(norm("http://h/a%7"), "http://h/a%7");
+        assert_eq!(norm("http://h/a%7E"), "http://h/a~");
+        assert_eq!(norm("http://h/p?q=%"), "http://h/p?q=%");
+        assert_eq!(norm("http://h/p?q=%7"), "http://h/p?q=%7");
+        let mut out = String::new();
+        for (input, want) in [("%", "%"), ("%7", "%7"), ("x%7e", "x~"), ("%%41", "%A")] {
+            out.clear();
+            decode_unreserved(input, &mut out);
+            assert_eq!(out, want, "{input}");
+        }
     }
 
     #[test]

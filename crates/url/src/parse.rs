@@ -85,29 +85,7 @@ impl Url {
     /// assert_eq!(u.query.as_deref(), Some("q=1"));
     /// ```
     pub fn parse(input: &str) -> Result<Self, ParseError> {
-        let s = input.trim_matches(|c: char| c.is_ascii_whitespace());
-        if s.is_empty() {
-            return Err(ParseError::Empty);
-        }
-        if s.bytes().any(|b| b.is_ascii_control()) {
-            return Err(ParseError::ControlChar);
-        }
-        let (scheme, rest) = split_scheme(s)?;
-        let rest = rest.strip_prefix("//").ok_or(ParseError::NotAbsolute)?;
-
-        // The authority ends at the first '/', '?', or '#'.
-        let auth_end = rest.find(['/', '?', '#']).unwrap_or(rest.len());
-        let (authority, tail) = rest.split_at(auth_end);
-        let (host, port) = split_host_port(authority)?;
-
-        let (path, query) = split_path_query(tail);
-        Ok(Url {
-            scheme,
-            host,
-            port,
-            path,
-            query,
-        })
+        parse_parts(input).map(|p| p.to_url())
     }
 
     /// The port that will actually be connected to: the explicit port if
@@ -142,6 +120,170 @@ impl fmt::Display for Url {
     }
 }
 
+/// A URL's components borrowed from the text (or the base [`Url`]) they
+/// came from — what parsing and resolution produce before anything is
+/// copied. [`Parts::to_url`] owns them; the canonical writer in
+/// [`crate::normalize`] renders them without an intermediate [`Url`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Parts<'a> {
+    pub(crate) scheme: Scheme,
+    /// Host as written.
+    pub(crate) host: &'a str,
+    /// Whether `host` was parsed from text (validated ASCII, still to be
+    /// lowercased) rather than taken verbatim from a base [`Url`].
+    pub(crate) lower_host: bool,
+    pub(crate) port: Option<u16>,
+    pub(crate) path: &'a str,
+    pub(crate) query: Option<&'a str>,
+}
+
+impl<'a> Parts<'a> {
+    /// The components of an existing URL, verbatim.
+    pub(crate) fn of(url: &'a Url) -> Self {
+        Parts {
+            scheme: url.scheme,
+            host: &url.host,
+            lower_host: false,
+            port: url.port,
+            path: &url.path,
+            query: url.query.as_deref(),
+        }
+    }
+
+    /// True if the explicit port is redundant (see [`Url::has_default_port`]).
+    pub(crate) fn has_default_port(&self) -> bool {
+        self.port.is_none() || self.port == Some(self.scheme.default_port())
+    }
+
+    /// Append the host, lowercased if it came from text.
+    pub(crate) fn push_host(&self, out: &mut String) {
+        let start = out.len();
+        out.push_str(self.host);
+        if self.lower_host {
+            out[start..].make_ascii_lowercase();
+        }
+    }
+
+    pub(crate) fn to_url(self) -> Url {
+        let mut host = String::with_capacity(self.host.len());
+        self.push_host(&mut host);
+        Url {
+            scheme: self.scheme,
+            host,
+            port: self.port,
+            path: self.path.to_string(),
+            query: self.query.map(str::to_string),
+        }
+    }
+
+    /// Overwrite `url` with these components, reusing its buffers.
+    /// `spare` parks the query buffer while `url` has no query, so a
+    /// query appearing again later does not allocate either.
+    pub(crate) fn store(&self, url: &mut Url, spare: &mut Option<String>) {
+        url.scheme = self.scheme;
+        url.host.clear();
+        self.push_host(&mut url.host);
+        url.port = self.port;
+        url.path.clear();
+        url.path.push_str(self.path);
+        match self.query {
+            Some(q) => {
+                let mut buf = url
+                    .query
+                    .take()
+                    .or_else(|| spare.take())
+                    .unwrap_or_default();
+                buf.clear();
+                buf.push_str(q);
+                url.query = Some(buf);
+            }
+            None => {
+                if let Some(buf) = url.query.take() {
+                    *spare = Some(buf);
+                }
+            }
+        }
+    }
+}
+
+/// [`Url::parse`] over borrowed text: the grammar, without copying.
+pub(crate) fn parse_parts(input: &str) -> Result<Parts<'_>, ParseError> {
+    let s: &str = input.trim_matches(|c: char| c.is_ascii_whitespace());
+    if s.is_empty() {
+        return Err(ParseError::Empty);
+    }
+    if has_control(s) {
+        return Err(ParseError::ControlChar);
+    }
+    parse_clean(s)
+}
+
+/// Whether `s` contains an ASCII control character. A branch-free fold
+/// rather than a short-circuiting search, so it compiles to a vector
+/// loop: the common answer is "no", which a search has to read to the end
+/// anyway.
+pub(crate) fn has_control(s: &str) -> bool {
+    s.as_bytes()
+        .iter()
+        .fold(false, |acc, &b| acc | (b < 0x20) | (b == 0x7F))
+}
+
+/// [`parse_parts`] on text already trimmed and free of control
+/// characters.
+pub(crate) fn parse_clean(s: &str) -> Result<Parts<'_>, ParseError> {
+    let (scheme, rest) = split_scheme(s)?;
+    let rest = rest.strip_prefix("//").ok_or(ParseError::NotAbsolute)?;
+    parse_authority(scheme, rest)
+}
+
+/// Everything after `scheme://`: authority, path, query; the fragment is
+/// dropped.
+pub(crate) fn parse_authority(scheme: Scheme, rest: &str) -> Result<Parts<'_>, ParseError> {
+    // One pass over the authority: it ends at the first '/', '?' or '#';
+    // userinfo ends at its last '@'; a port follows the last ':' after
+    // that.
+    let mut end = rest.len();
+    let (mut at, mut colon) = (None, None);
+    for (i, b) in rest.bytes().enumerate() {
+        match b {
+            b'/' | b'?' | b'#' => {
+                end = i;
+                break;
+            }
+            b'@' => at = Some(i),
+            b':' => colon = Some(i),
+            _ => {}
+        }
+    }
+    let (authority, tail) = rest.split_at(end);
+    // Strip userinfo if present; crawlers never send credentials embedded
+    // in links, but such links do occur in the wild.
+    let host_start = at.map_or(0, |i| i + 1);
+    let (host, port) = match colon.filter(|&c| c >= host_start) {
+        Some(c) => {
+            let p: &str = &authority[c + 1..];
+            let port = if p.is_empty() {
+                // "http://host:/path" — tolerated, treated as no port.
+                None
+            } else {
+                Some(p.parse::<u16>().map_err(|_| ParseError::InvalidPort)?)
+            };
+            (&authority[host_start..c], port)
+        }
+        None => (&authority[host_start..], None),
+    };
+    check_host(host)?;
+    let (path, query) = split_path_query(tail);
+    Ok(Parts {
+        scheme,
+        host,
+        lower_host: true,
+        port,
+        path,
+        query,
+    })
+}
+
 fn split_scheme(s: &str) -> Result<(Scheme, &str), ParseError> {
     let colon = s.find(':').ok_or(ParseError::UnsupportedScheme)?;
     let (scheme_str, rest) = s.split_at(colon);
@@ -155,59 +297,57 @@ fn split_scheme(s: &str) -> Result<(Scheme, &str), ParseError> {
     Ok((scheme, &rest[1..]))
 }
 
-fn split_host_port(authority: &str) -> Result<(String, Option<u16>), ParseError> {
-    // Strip userinfo if present; crawlers never send credentials embedded
-    // in links, but such links do occur in the wild.
-    let hostport = match authority.rfind('@') {
-        Some(i) => &authority[i + 1..],
-        None => authority,
-    };
-    let (host_str, port) = match hostport.rfind(':') {
-        Some(i) => {
-            let (h, p) = hostport.split_at(i);
-            let p = &p[1..];
-            if p.is_empty() {
-                // "http://host:/path" — tolerated, treated as no port.
-                (h, None)
-            } else {
-                (
-                    h,
-                    Some(p.parse::<u16>().map_err(|_| ParseError::InvalidPort)?),
-                )
-            }
-        }
-        None => (hostport, None),
-    };
-    if host_str.is_empty() {
+/// A registered name: non-empty, ASCII alphanumerics, `-`, `.`, `_`.
+fn check_host(host: &str) -> Result<(), ParseError> {
+    if host.is_empty() {
         return Err(ParseError::EmptyHost);
     }
-    let mut host = String::with_capacity(host_str.len());
-    for c in host_str.chars() {
-        if c.is_ascii_alphanumeric() || matches!(c, '-' | '.' | '_') {
-            host.push(c.to_ascii_lowercase());
-        } else {
-            return Err(ParseError::InvalidHostChar(c));
-        }
+    // Fast path: a branch-free table check over the bytes. Only a host
+    // that fails it is walked by char to name the offending character.
+    if host
+        .bytes()
+        .fold(true, |acc, b| acc & HOST_BYTE[b as usize])
+    {
+        return Ok(());
     }
-    Ok((host, port))
+    match host
+        .chars()
+        .find(|&c| !(c.is_ascii_alphanumeric() || matches!(c, '-' | '.' | '_')))
+    {
+        Some(c) => Err(ParseError::InvalidHostChar(c)),
+        None => Ok(()),
+    }
 }
 
-fn split_path_query(tail: &str) -> (String, Option<String>) {
-    // Drop the fragment first.
-    let tail = match tail.find('#') {
-        Some(i) => &tail[..i],
-        None => tail,
-    };
-    let (path, query) = match tail.find('?') {
-        Some(i) => (&tail[..i], Some(tail[i + 1..].to_string())),
-        None => (tail, None),
-    };
-    let path = if path.is_empty() {
-        "/".to_string()
-    } else {
-        path.to_string()
-    };
-    (path, query)
+/// Bytes allowed in a host name: ASCII alphanumerics, `-`, `.`, `_`.
+static HOST_BYTE: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut i = 0;
+    while i < 256 {
+        let b = i as u8;
+        table[i] = b.is_ascii_alphanumeric() || matches!(b, b'-' | b'.' | b'_');
+        i += 1;
+    }
+    table
+};
+
+fn split_path_query(tail: &str) -> (&str, Option<&str>) {
+    let (path, query) = split_query_fragment(tail);
+    (if path.is_empty() { "/" } else { path }, query)
+}
+
+/// Split `text` into what precedes the first `?` and the query after it,
+/// dropping any `#fragment` (a `?` after the `#` is fragment text).
+pub(crate) fn split_query_fragment(text: &str) -> (&str, Option<&str>) {
+    match text.find(['?', '#']) {
+        Some(i) if text.as_bytes()[i] == b'?' => {
+            let rest = &text[i + 1..];
+            let query = rest.find('#').map_or(rest, |j| &rest[..j]);
+            (&text[..i], Some(query))
+        }
+        Some(i) => (&text[..i], None),
+        None => (text, None),
+    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! URLs that [`crate::Url`] represents.
 
 use crate::error::ParseError;
-use crate::parse::Url;
+use crate::parse::{has_control, parse_authority, parse_clean, split_query_fragment, Parts, Url};
 
 /// Resolve a reference against a base URL.
 ///
@@ -25,54 +25,8 @@ use crate::parse::Url;
 /// assert_eq!(resolve(&base, "#sec").unwrap().to_string(), base.to_string());
 /// ```
 pub fn resolve(base: &Url, reference: &str) -> Result<Url, ParseError> {
-    let r = reference.trim_matches(|c: char| c.is_ascii_whitespace());
-    if r.bytes().any(|b| b.is_ascii_control()) {
-        return Err(ParseError::ControlChar);
-    }
-    if r.is_empty() || r.starts_with('#') {
-        // Same document. Fragment is dropped by our model anyway; the path
-        // still gets dot-segment removal so resolution output is uniform.
-        let mut u = base.clone();
-        u.path = remove_dot_segments(&u.path);
-        return Ok(u);
-    }
-    // Absolute URL?  (scheme ":" ...)
-    if let Some(colon) = r.find(':') {
-        let (maybe_scheme, _) = r.split_at(colon);
-        if !maybe_scheme.is_empty()
-            && maybe_scheme
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || matches!(c, '+' | '-' | '.'))
-            && maybe_scheme
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_alphabetic())
-        {
-            // It names a scheme: either a web URL or something to reject.
-            return Url::parse(r);
-        }
-    }
-    // Protocol-relative reference: inherit the base scheme.
-    if let Some(rest) = r.strip_prefix("//") {
-        return Url::parse(&format!("{}://{}", base.scheme, rest));
-    }
-    // From here the reference is a path / query expression.
-    let (refpath, query) = split_ref(r);
-    let merged = if refpath.is_empty() {
-        // Query-only reference keeps the base path.
-        base.path.clone()
-    } else if refpath.starts_with('/') {
-        refpath.to_string()
-    } else {
-        merge_paths(&base.path, refpath)
-    };
-    Ok(Url {
-        scheme: base.scheme,
-        host: base.host.clone(),
-        port: base.port,
-        path: remove_dot_segments(&merged),
-        query,
-    })
+    let (mut merged, mut path) = (String::new(), String::new());
+    resolve_parts(base, reference, &mut merged, &mut path).map(Parts::to_url)
 }
 
 /// Convenience wrapper: parse the base then [`resolve`].
@@ -80,24 +34,69 @@ pub fn resolve_str(base: &str, reference: &str) -> Result<Url, ParseError> {
     resolve(&Url::parse(base)?, reference)
 }
 
-fn split_ref(r: &str) -> (&str, Option<String>) {
-    let r = match r.find('#') {
-        Some(i) => &r[..i],
-        None => r,
+/// [`resolve`] without copying: the result borrows `base`, `reference`
+/// and `path`, which receives the dot-segment-free merged path when the
+/// reference is relative. `merged` is scratch for the RFC 3986 merge.
+pub(crate) fn resolve_parts<'a>(
+    base: &'a Url,
+    reference: &'a str,
+    merged: &mut String,
+    path: &'a mut String,
+) -> Result<Parts<'a>, ParseError> {
+    let r: &str = reference.trim_matches(|c: char| c.is_ascii_whitespace());
+    if has_control(r) {
+        return Err(ParseError::ControlChar);
+    }
+    let on_base = |path: &'a str, query: Option<&'a str>| Parts {
+        scheme: base.scheme,
+        host: &base.host,
+        lower_host: false,
+        port: base.port,
+        path,
+        query,
     };
-    match r.find('?') {
-        Some(i) => (&r[..i], Some(r[i + 1..].to_string())),
-        None => (r, None),
+    if r.is_empty() || r.starts_with('#') {
+        // Same document. Fragment is dropped by our model anyway; the path
+        // still gets dot-segment removal so resolution output is uniform.
+        remove_dots(&base.path, path);
+        return Ok(on_base(path, base.query.as_deref()));
     }
-}
-
-/// RFC 3986 §5.3 "merge": replace the last segment of the base path with
-/// the reference path.
-fn merge_paths(base_path: &str, refpath: &str) -> String {
-    match base_path.rfind('/') {
-        Some(i) => format!("{}{}", &base_path[..=i], refpath),
-        None => format!("/{refpath}"),
+    // Absolute URL?  (scheme ":" ...)
+    if let Some(colon) = r.find(':') {
+        let maybe_scheme = &r.as_bytes()[..colon];
+        if maybe_scheme.first().is_some_and(u8::is_ascii_alphabetic)
+            && maybe_scheme
+                .iter()
+                .all(|&c| c.is_ascii_alphanumeric() || matches!(c, b'+' | b'-' | b'.'))
+        {
+            // It names a scheme: either a web URL or something to reject.
+            return parse_clean(r);
+        }
     }
+    // Protocol-relative reference: inherit the base scheme.
+    if let Some(rest) = r.strip_prefix("//") {
+        return parse_authority(base.scheme, rest);
+    }
+    // From here the reference is a path / query expression.
+    let (refpath, query) = split_query_fragment(r);
+    let src: &str = if refpath.is_empty() {
+        // Query-only reference keeps the base path.
+        &base.path
+    } else if refpath.starts_with('/') {
+        refpath
+    } else {
+        // RFC 3986 §5.3 "merge": replace the last segment of the base
+        // path with the reference path.
+        merged.clear();
+        match base.path.rfind('/') {
+            Some(i) => merged.push_str(&base.path[..=i]),
+            None => merged.push('/'),
+        }
+        merged.push_str(refpath);
+        merged
+    };
+    remove_dots(src, path);
+    Ok(on_base(path, query))
 }
 
 /// RFC 3986 §5.2.4 remove_dot_segments, operating on a path that begins
@@ -112,26 +111,49 @@ fn merge_paths(base_path: &str, refpath: &str) -> String {
 /// assert_eq!(remove_dot_segments("/a/b/.."), "/a/");
 /// ```
 pub fn remove_dot_segments(path: &str) -> String {
-    let mut out: Vec<&str> = Vec::new();
+    let mut out = String::with_capacity(path.len());
+    remove_dots(path, &mut out);
+    out
+}
+
+/// Whether [`remove_dot_segments`] would return `path` unchanged: it is
+/// rooted and no `/` is followed by another `/` (an empty segment) or a
+/// `.` (a possible dot segment). Conservative: `/.hidden` takes the slow
+/// path and comes out the same.
+pub(crate) fn is_dot_free(path: &str) -> bool {
+    let b = path.as_bytes();
+    let dotted = b.iter().zip(b.iter().skip(1)).fold(false, |acc, (&x, &y)| {
+        acc | ((x == b'/') & ((y == b'/') | (y == b'.')))
+    });
+    b.first() == Some(&b'/') && !dotted
+}
+
+/// [`remove_dot_segments`] into a reused buffer. The output is built as
+/// a stack of `/segment` runs: `..` truncates back to the previous `/`.
+pub(crate) fn remove_dots(path: &str, out: &mut String) {
+    out.clear();
+    if is_dot_free(path) {
+        out.push_str(path);
+        return;
+    }
     let trailing_slash = path.ends_with('/') || path.ends_with("/.") || path.ends_with("/..");
     for seg in path.split('/') {
         match seg {
             "" | "." => {}
             ".." => {
-                out.pop();
+                if let Some(i) = out.rfind('/') {
+                    out.truncate(i);
+                }
             }
-            s => out.push(s),
+            s => {
+                out.push('/');
+                out.push_str(s);
+            }
         }
     }
-    let mut result = String::with_capacity(path.len());
-    for seg in &out {
-        result.push('/');
-        result.push_str(seg);
+    if out.is_empty() || trailing_slash {
+        out.push('/');
     }
-    if result.is_empty() || trailing_slash {
-        result.push('/');
-    }
-    result
 }
 
 #[cfg(test)]

@@ -132,20 +132,40 @@ impl WebSpace {
     /// Page 0 of a host is its front page `/`; others get stable
     /// directory-style paths.
     pub fn url(&self, p: PageId) -> String {
+        let mut out = String::new();
+        self.write_url(p, &mut out);
+        out
+    }
+
+    /// Append [`WebSpace::url`] to `out` without allocating (beyond
+    /// `out`'s own growth).
+    pub fn write_url(&self, p: PageId, out: &mut String) {
+        self.put_url(p, out);
+    }
+
+    /// Append the URL to text or to a page being rendered.
+    pub(crate) fn put_url(&self, p: PageId, out: &mut impl UrlSink) {
         let m = &self.pages[p as usize];
         let host = &self.hosts[m.host as usize];
         let idx = p - host.first_page;
+        out.push_piece("http://");
+        out.push_piece(&host.name);
         if idx == 0 {
-            format!("http://{}/", host.name)
-        } else {
-            match m.kind {
-                PageKind::Html => {
-                    format!("http://{}/d{}/p{}.html", host.name, idx % 17, idx)
-                }
-                PageKind::Other => format!("http://{}/img/i{}.gif", host.name, idx),
-                PageKind::Failed => format!("http://{}/gone/g{}.html", host.name, idx),
-            }
+            out.push_piece("/");
+            return;
         }
+        let (dir, name, ext) = match m.kind {
+            PageKind::Html => {
+                out.push_piece("/d");
+                put_decimal(out, idx % 17);
+                ("/p", idx, ".html")
+            }
+            PageKind::Other => ("/img/i", idx, ".gif"),
+            PageKind::Failed => ("/gone/g", idx, ".html"),
+        };
+        out.push_piece(dir);
+        put_decimal(out, name);
+        out.push_piece(ext);
     }
 
     /// Iterate over all page ids.
@@ -310,5 +330,40 @@ impl WebSpace {
             }
         }
         Ok(())
+    }
+}
+
+/// Where page URLs are written: text for callers, or the bytes of a page
+/// being rendered.
+pub(crate) trait UrlSink {
+    fn push_piece(&mut self, s: &str);
+}
+
+impl UrlSink for String {
+    fn push_piece(&mut self, s: &str) {
+        self.push_str(s);
+    }
+}
+
+impl UrlSink for Vec<u8> {
+    fn push_piece(&mut self, s: &str) {
+        // lint:allow(no-alloc-transitive): the page buffer is reused across fetches; extend only reallocates until it reaches the largest page
+        self.extend_from_slice(s.as_bytes());
+    }
+}
+
+/// Append `n` in decimal, most significant digit first.
+fn put_decimal(out: &mut impl UrlSink, n: u32) {
+    const DIGITS: [&str; 10] = ["0", "1", "2", "3", "4", "5", "6", "7", "8", "9"];
+    let mut div = 1;
+    while n / div >= 10 {
+        div *= 10;
+    }
+    loop {
+        out.push_piece(DIGITS[(n / div % 10) as usize]);
+        if div == 1 {
+            break;
+        }
+        div /= 10;
     }
 }

@@ -8,50 +8,127 @@
 
 use crate::graph::WebSpace;
 use crate::page::PageId;
-use langcrawl_url::{normalize, Url};
-use std::collections::HashMap;
+use langcrawl_url::Canonicalizer;
 
 /// Canonical-URL → page map for one web space.
+///
+/// Flat: the canonical URLs live back to back in one byte arena
+/// (`offsets[p]..offsets[p + 1]` is page `p`'s), and an open-addressing
+/// table of `page + 1` slots (0 = empty, linear probing, load ≤ 1/2) is
+/// keyed by an in-tree 64-bit hash of the URL bytes. A lookup is one hash
+/// over the key, a probe or two, and one byte comparison against the
+/// arena — no per-page `String`, no SipHash.
 #[derive(Debug)]
 pub struct UrlIndex {
-    map: HashMap<String, PageId>,
+    arena: Vec<u8>,
+    offsets: Vec<u32>,
+    slots: Vec<u32>,
+    /// `slots.len() - 1` (the table size is a power of two).
+    mask: usize,
 }
 
 impl UrlIndex {
     /// Build the index (one pass over the space; URLs are derived, not
     /// stored, so this is the only place they are all materialised).
+    /// Each page URL is written and canonicalized through two reused
+    /// buffers.
     pub fn build(ws: &WebSpace) -> UrlIndex {
-        let mut map = HashMap::with_capacity(ws.num_pages());
+        let n = ws.num_pages();
+        let table = (2 * n).next_power_of_two().max(2);
+        let mut index = UrlIndex {
+            arena: Vec::with_capacity(n * 40),
+            offsets: Vec::with_capacity(n + 1),
+            slots: vec![0; table],
+            mask: table - 1,
+        };
+        index.offsets.push(0);
+        let mut url = String::new();
+        let mut canon = Canonicalizer::new();
         for p in ws.page_ids() {
-            let url = ws.url(p);
-            let canon = normalize(&Url::parse(&url).expect("generated URLs parse"));
-            let prev = map.insert(canon, p);
-            debug_assert!(prev.is_none(), "URL collision at page {p}");
+            url.clear();
+            ws.write_url(p, &mut url);
+            let key = canon.canonicalize_url(&url).expect("generated URLs parse");
+            debug_assert!(index.resolve(key).is_none(), "URL collision at page {p}");
+            let mut i = index.home(key.as_bytes());
+            while index.slots[i] != 0 {
+                i = (i + 1) & index.mask;
+            }
+            index.slots[i] = p + 1;
+            index.arena.extend_from_slice(key.as_bytes());
+            let end = u32::try_from(index.arena.len()).expect("URL arena under 4 GiB");
+            index.offsets.push(end);
         }
-        UrlIndex { map }
+        index
     }
 
     /// Resolve a canonical URL string (as produced by
     /// [`langcrawl_html::extract_links`]) to its page.
+    // lint:root(panic-free, alloc-free) — one lookup per extracted link in content mode
     pub fn resolve(&self, canonical_url: &str) -> Option<PageId> {
-        self.map.get(canonical_url).copied()
+        let key = canonical_url.as_bytes();
+        let mut i = self.home(key);
+        loop {
+            let slot = *self.slots.get(i)?;
+            if slot == 0 {
+                return None;
+            }
+            let p = slot - 1;
+            if self.url_bytes(p) == Some(key) {
+                return Some(p);
+            }
+            i = (i + 1) & self.mask;
+        }
     }
 
     /// Resolve a raw URL string, canonicalizing first.
     pub fn resolve_raw(&self, url: &str) -> Option<PageId> {
-        let canon = langcrawl_url::normalize_str(url)?;
-        self.resolve(&canon)
+        let mut canon = Canonicalizer::new();
+        let key = canon.canonicalize_url(url).ok()?;
+        self.resolve(key)
     }
 
     /// Number of indexed URLs.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.offsets.len() - 1
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
+
+    /// Page `p`'s canonical URL bytes in the arena.
+    fn url_bytes(&self, p: PageId) -> Option<&[u8]> {
+        let start = *self.offsets.get(p as usize)? as usize;
+        let end = *self.offsets.get(p as usize + 1)? as usize;
+        self.arena.get(start..end)
+    }
+
+    /// The key's home slot.
+    fn home(&self, key: &[u8]) -> usize {
+        hash64(key) as usize & self.mask
+    }
+}
+
+/// A 64-bit hash for URL keys: eight bytes at a time through a
+/// multiply-rotate round, then a splitmix-style finalizer so the low bits
+/// the table masks by depend on every input byte.
+fn hash64(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut h = (bytes.len() as u64).wrapping_mul(K);
+    for w in words {
+        h = (h ^ u64::from_le_bytes(*w)).wrapping_mul(K).rotate_left(29);
+    }
+    // The tail as a zero-padded little-endian word.
+    let last = tail
+        .iter()
+        .rev()
+        .fold(0u64, |acc, &b| (acc << 8) | b as u64);
+    h = (h ^ last).wrapping_mul(K);
+    h ^= h >> 32;
+    h = h.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+    h ^ (h >> 32)
 }
 
 #[cfg(test)]

@@ -14,8 +14,8 @@
 use crate::graph::WebSpace;
 use crate::page::{PageId, PageKind};
 use crate::text;
-use langcrawl_charset::dbcs::{encode_chinese, encode_korean};
-use langcrawl_charset::encode::{encode_ascii, encode_japanese, encode_thai};
+use langcrawl_charset::dbcs::DbcsEncoder;
+use langcrawl_charset::encode::{JapaneseEncoder, ThaiEncoder};
 use langcrawl_charset::{Charset, Language};
 
 use langcrawl_rng::{mix, Rng};
@@ -26,93 +26,129 @@ impl WebSpace {
     /// crawler anyway); failed pages yield an empty body.
     pub fn synthesize_page(&self, p: PageId) -> Vec<u8> {
         let meta = self.meta(p);
-        match meta.kind {
-            PageKind::Failed => Vec::new(),
-            PageKind::Other => b"GIF89a\x01\x00\x01\x00\x80\x00\x00".to_vec(),
-            PageKind::Html => self.synthesize_html(p),
+        let capacity = match meta.kind {
+            PageKind::Html => meta.size as usize / 4,
+            PageKind::Other | PageKind::Failed => 0,
+        };
+        let mut out = Vec::with_capacity(capacity);
+        self.synthesize_page_into(p, &mut out);
+        out
+    }
+
+    /// [`WebSpace::synthesize_page`] into a caller-owned buffer, which is
+    /// cleared first. Tokens are encoded into the buffer as they are
+    /// generated and anchor URLs are written in place, so once the buffer
+    /// has grown to the largest page, rendering allocates nothing.
+    // lint:root(alloc-free) — renders every fetched page in content mode
+    pub fn synthesize_page_into(&self, p: PageId, out: &mut Vec<u8>) {
+        out.clear();
+        match self.meta(p).kind {
+            PageKind::Failed => {}
+            PageKind::Other => put_bytes(out, b"GIF89a\x01\x00\x01\x00\x80\x00\x00"),
+            PageKind::Html => self.synthesize_html(p, out),
         }
     }
 
-    fn synthesize_html(&self, p: PageId) -> Vec<u8> {
+    fn synthesize_html(&self, p: PageId, out: &mut Vec<u8>) {
         let meta = self.meta(p);
         // Per-page deterministic stream: splitmix the ids together.
         let mut rng = Rng::seed_from_u64(mix(self.generation_seed(), p as u64));
+        let body = |units: usize, rng: &mut Rng, out: &mut Vec<u8>| {
+            body_text(meta.lang, meta.true_charset, units, rng, out);
+        };
 
-        let mut out: Vec<u8> = Vec::with_capacity(meta.size as usize / 4);
-        out.extend_from_slice(b"<html><head>");
+        put_bytes(out, b"<html><head>");
         if let Some(label) = meta.labeled_charset {
-            out.extend_from_slice(
-                format!(
-                    r#"<meta http-equiv="content-type" content="text/html; charset={}">"#,
-                    label.label()
-                )
-                .as_bytes(),
+            put_bytes(
+                out,
+                br#"<meta http-equiv="content-type" content="text/html; charset="#,
             );
+            put_bytes(out, Charset::label(label).as_bytes());
+            put_bytes(out, br#"">"#);
         }
-        out.extend_from_slice(b"<title>");
-        out.extend(self.body_text(meta.lang, meta.true_charset, 8, &mut rng));
-        out.extend_from_slice(b"</title></head><body>");
+        put_bytes(out, b"<title>");
+        body(8, &mut rng, out);
+        put_bytes(out, b"</title></head><body>");
 
         // Interleave text paragraphs with the page's real outlinks.
         let links = self.outlinks(p);
         let n_par = 1 + links.len().min(8);
         let mut li = 0usize;
         for _ in 0..n_par {
-            out.extend_from_slice(b"<p>");
-            out.extend(self.body_text(meta.lang, meta.true_charset, 40, &mut rng));
-            out.extend_from_slice(b"</p>\n");
+            put_bytes(out, b"<p>");
+            body(40, &mut rng, out);
+            put_bytes(out, b"</p>\n");
             // A run of anchors after each paragraph.
             let take = (links.len() - li).min(1 + (links.len() / n_par));
             for &t in &links[li..li + take] {
-                out.extend_from_slice(b"<a href=\"");
-                out.extend_from_slice(self.url(t).as_bytes());
-                out.extend_from_slice(b"\">");
-                out.extend(self.body_text(meta.lang, meta.true_charset, 3, &mut rng));
-                out.extend_from_slice(b"</a> ");
+                put_bytes(out, b"<a href=\"");
+                self.put_url(t, out);
+                put_bytes(out, b"\">");
+                body(3, &mut rng, out);
+                put_bytes(out, b"</a> ");
             }
             li += take;
         }
         for &t in &links[li..] {
-            out.extend_from_slice(b"<a href=\"");
-            out.extend_from_slice(self.url(t).as_bytes());
-            out.extend_from_slice(b"\">x</a> ");
+            put_bytes(out, b"<a href=\"");
+            self.put_url(t, out);
+            put_bytes(out, b"\">x</a> ");
         }
-        out.extend_from_slice(b"</body></html>");
-        out
+        put_bytes(out, b"</body></html>");
     }
+}
 
-    /// Body text units in the page's language and charset. `units` is
-    /// roughly "words": tokens are scaled so languages look comparable.
-    fn body_text(
-        &self,
-        lang: Option<Language>,
-        charset: Charset,
-        units: usize,
-        rng: &mut Rng,
-    ) -> Vec<u8> {
-        match (lang, charset) {
-            (Some(Language::Japanese), cs) => {
-                encode_japanese(&text::japanese_tokens(units * 4, rng), cs)
-            }
-            (Some(Language::Thai), cs) => encode_thai(&text::thai_tokens(units * 4, rng), cs),
-            (Some(Language::Korean), cs) => encode_korean(&text::korean_tokens(units * 3, rng), cs),
-            (Some(Language::Chinese), cs) => {
-                encode_chinese(&text::chinese_tokens(units * 4, rng), cs)
-            }
-            (Some(Language::Other), Charset::Utf8) => {
-                // "Other" UTF-8 pages get accented Latin so they are not
-                // bare ASCII.
-                let mut s = text::english_words(units, rng);
-                s.push_str(" caf\u{e9} d\u{e9}j\u{e0}");
-                s.into_bytes()
-            }
-            (Some(Language::Other), Charset::Latin1) => {
-                let mut s = text::english_words(units, rng);
-                s.push_str(" caf\u{e9}");
-                s.chars().map(|c| c as u32 as u8).collect()
-            }
-            _ => encode_ascii(&text::english_words(units, rng)),
+/// Append `bytes` to a page being rendered. Every byte of a page goes
+/// through here (tokens are pushed byte by byte by the encoders).
+#[inline]
+fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    // lint:allow(no-alloc-transitive): the page buffer is reused across fetches; extend only reallocates until it reaches the largest page
+    out.extend_from_slice(bytes);
+}
+
+/// Append body text in the page's language and charset: tokens are
+/// generated and encoded one at a time. `units` is roughly "words":
+/// tokens are scaled so languages look comparable.
+///
+/// # Panics
+/// Panics if `charset` cannot carry `lang` (the generator never pairs
+/// them so).
+fn body_text(
+    lang: Option<Language>,
+    charset: Charset,
+    units: usize,
+    rng: &mut Rng,
+    out: &mut Vec<u8>,
+) {
+    match lang {
+        Some(Language::Japanese) => {
+            let mut enc = JapaneseEncoder::new(charset).expect("Japanese-capable charset");
+            text::japanese_into(units * 4, rng, |t| enc.encode_token(t, out));
+            enc.finish(out);
         }
+        Some(Language::Thai) => {
+            let enc = ThaiEncoder::new(charset).expect("Thai-capable charset");
+            text::thai_into(units * 4, rng, |t| enc.encode_token(t, out));
+        }
+        Some(Language::Korean) => {
+            let enc = DbcsEncoder::korean(charset).expect("Korean-capable charset");
+            text::korean_into(units * 3, rng, |t| enc.encode_token(t, out));
+        }
+        Some(Language::Chinese) => {
+            let enc = DbcsEncoder::chinese(charset).expect("Chinese-capable charset");
+            text::chinese_into(units * 4, rng, |t| enc.encode_token(t, out));
+        }
+        Some(Language::Other) if charset == Charset::Utf8 => {
+            // "Other" UTF-8 pages get accented Latin so they are not
+            // bare ASCII.
+            text::english_into(units, rng, |w| put_bytes(out, w.as_bytes()));
+            put_bytes(out, " caf\u{e9} d\u{e9}j\u{e0}".as_bytes());
+        }
+        Some(Language::Other) if charset == Charset::Latin1 => {
+            text::english_into(units, rng, |w| put_bytes(out, w.as_bytes()));
+            put_bytes(out, b" caf\xe9");
+        }
+        _ => text::english_into(units, rng, |w| put_bytes(out, w.as_bytes())),
     }
 }
 

@@ -12,6 +12,9 @@
 //!   leading-vowel syllables mixed in — the transition structure the
 //!   Thai prober scores;
 //! * English-ish ASCII filler for irrelevant pages.
+//!
+//! Each generator hands its tokens to a callback rather than collecting
+//! them, so the page renderer encodes them straight into the page buffer.
 
 use langcrawl_charset::dbcs::DbToken;
 use langcrawl_charset::encode::{JaToken, ThToken};
@@ -19,26 +22,55 @@ use langcrawl_charset::kuten::{rows, Kuten};
 
 use langcrawl_rng::Rng;
 
-/// Generate `n` tokens of model Japanese text.
-pub fn japanese_tokens(n: usize, rng: &mut Rng) -> Vec<JaToken> {
-    let mut out = Vec::with_capacity(n);
-    while out.len() < n {
+/// Emits the first `n` tokens a generator produces and counts the rest.
+/// Generators draw whole groups (a kana run, a syllable, a word) and stop
+/// once `n` tokens exist, so the last group can overshoot; its surplus
+/// tokens are drawn but dropped, which keeps the RNG stream identical
+/// to generating the whole group and truncating.
+struct Capped<F> {
+    n: usize,
+    len: usize,
+    emit: F,
+}
+
+impl<F> Capped<F> {
+    fn new(n: usize, emit: F) -> Self {
+        Capped { n, len: 0, emit }
+    }
+
+    fn full(&self) -> bool {
+        self.len >= self.n
+    }
+
+    #[inline]
+    fn offer<T>(&mut self, t: T)
+    where
+        F: FnMut(T),
+    {
+        if self.len < self.n {
+            (self.emit)(t);
+        }
+        self.len += 1;
+    }
+}
+
+/// Generate `n` tokens of model Japanese text, handing each to `emit`.
+pub fn japanese_into(n: usize, rng: &mut Rng, emit: impl FnMut(JaToken)) {
+    let mut out = Capped::new(n, emit);
+    let kuten = |ku, ten| JaToken::K(Kuten::new(ku, ten).expect("kuten ranges are in 1..=94"));
+    while !out.full() {
         match rng.random_range(0..100u32) {
             // Hiragana runs (particles, okurigana) come in bursts.
             0..=45 => {
                 let run = rng.random_range(1..=4);
                 for _ in 0..run {
-                    out.push(JaToken::K(
-                        Kuten::new(rows::HIRAGANA, rng.random_range(1..=83)).unwrap(),
-                    ));
+                    out.offer(kuten(rows::HIRAGANA, rng.random_range(1..=83)));
                 }
             }
             46..=55 => {
                 let run = rng.random_range(1..=5);
                 for _ in 0..run {
-                    out.push(JaToken::K(
-                        Kuten::new(rows::KATAKANA, rng.random_range(1..=86)).unwrap(),
-                    ));
+                    out.offer(kuten(rows::KATAKANA, rng.random_range(1..=86)));
                 }
             }
             56..=85 => {
@@ -46,27 +78,21 @@ pub fn japanese_tokens(n: usize, rng: &mut Rng) -> Vec<JaToken> {
                 // frequent characters sit.
                 let ku = rows::KANJI_FIRST
                     + rng.random_range(0..=(rows::KANJI_LEVEL1_LAST - rows::KANJI_FIRST));
-                out.push(JaToken::K(
-                    Kuten::new(ku, rng.random_range(1..=94)).unwrap(),
-                ));
+                out.offer(kuten(ku, rng.random_range(1..=94)));
             }
             86..=92 => {
                 // Ideographic punctuation: 、 。 ・ etc.
-                out.push(JaToken::K(
-                    Kuten::new(rows::PUNCT, rng.random_range(1..=10)).unwrap(),
-                ));
+                out.offer(kuten(rows::PUNCT, rng.random_range(1..=10)));
             }
             _ => {
                 // An ASCII word (numbers, Latin brand names).
                 for _ in 0..rng.random_range(2..6) {
-                    out.push(JaToken::Ascii(rng.random_range(b'a'..=b'z')));
+                    out.offer(JaToken::Ascii(rng.random_range(b'a'..=b'z')));
                 }
-                out.push(JaToken::Ascii(b' '));
+                out.offer(JaToken::Ascii(b' '));
             }
         }
     }
-    out.truncate(n);
-    out
 }
 
 /// Thai consonants that open syllables, as TIS-620 bytes.
@@ -83,72 +109,70 @@ const THAI_LEAD_VOWELS: &[u8] = &[0xE0, 0xE1, 0xE2, 0xE3, 0xE4];
 /// Tone marks (combining).
 const THAI_TONES: &[u8] = &[0xE8, 0xE9, 0xEA, 0xEB];
 
-/// Generate `n` tokens of model Thai text (canonical syllable structure).
-pub fn thai_tokens(n: usize, rng: &mut Rng) -> Vec<ThToken> {
-    let mut out = Vec::with_capacity(n);
-    let pick = |set: &[u8], rng: &mut Rng| set[rng.random_range(0..set.len())];
-    while out.len() < n {
+/// Generate `n` tokens of model Thai text (canonical syllable structure),
+/// handing each to `emit`.
+pub fn thai_into(n: usize, rng: &mut Rng, emit: impl FnMut(ThToken)) {
+    let mut out = Capped::new(n, emit);
+    let pick = |set: &[u8], rng: &mut Rng| ThToken::Thai(set[rng.random_range(0..set.len())]);
+    while !out.full() {
         // Optional leading vowel, consonant, optional vowel, optional tone,
         // optional final consonant — a defensible approximation of Thai
         // orthotactics.
         if rng.random_bool(0.25) {
-            out.push(ThToken::Thai(pick(THAI_LEAD_VOWELS, rng)));
+            out.offer(pick(THAI_LEAD_VOWELS, rng));
         }
-        out.push(ThToken::Thai(pick(THAI_CONSONANTS, rng)));
+        out.offer(pick(THAI_CONSONANTS, rng));
         match rng.random_range(0..10u32) {
-            0..=4 => out.push(ThToken::Thai(pick(THAI_AB_VOWELS, rng))),
-            5..=7 => out.push(ThToken::Thai(pick(THAI_FOLLOW_VOWELS, rng))),
+            0..=4 => out.offer(pick(THAI_AB_VOWELS, rng)),
+            5..=7 => out.offer(pick(THAI_FOLLOW_VOWELS, rng)),
             _ => {}
         }
         if rng.random_bool(0.35) {
-            out.push(ThToken::Thai(pick(THAI_TONES, rng)));
+            out.offer(pick(THAI_TONES, rng));
         }
         if rng.random_bool(0.5) {
-            out.push(ThToken::Thai(pick(THAI_CONSONANTS, rng)));
+            out.offer(pick(THAI_CONSONANTS, rng));
         }
         // Thai writes without inter-word spaces; insert one occasionally
         // (phrase breaks) plus rare ASCII digits.
         if rng.random_bool(0.12) {
-            out.push(ThToken::Ascii(b' '));
+            out.offer(ThToken::Ascii(b' '));
         }
         if rng.random_bool(0.02) {
             for _ in 0..rng.random_range(1..4) {
-                out.push(ThToken::Ascii(rng.random_range(b'0'..=b'9')));
+                out.offer(ThToken::Ascii(rng.random_range(b'0'..=b'9')));
             }
         }
     }
-    out.truncate(n);
-    out
 }
 
 /// Generate `n` tokens of model Korean text: precomposed hangul (KS X
-/// 1001 rows 16..=40), spaces between words, rare ASCII digits.
-pub fn korean_tokens(n: usize, rng: &mut Rng) -> Vec<DbToken> {
-    let mut out = Vec::with_capacity(n);
-    while out.len() < n {
+/// 1001 rows 16..=40), spaces between words, rare ASCII digits. Each
+/// token goes to `emit`.
+pub fn korean_into(n: usize, rng: &mut Rng, emit: impl FnMut(DbToken)) {
+    let mut out = Capped::new(n, emit);
+    while !out.full() {
         // A word of 1..=4 syllables.
         for _ in 0..rng.random_range(1..=4) {
             let ku = 16 + rng.random_range(0..25) as u8;
             let ten = 1 + rng.random_range(0..94) as u8;
-            out.push(DbToken::Cell(Kuten::new(ku, ten).unwrap()));
+            out.offer(cell(ku, ten));
         }
-        out.push(DbToken::Ascii(b' '));
+        out.offer(DbToken::Ascii(b' '));
         if rng.random_bool(0.03) {
             for _ in 0..rng.random_range(1..4) {
-                out.push(DbToken::Ascii(rng.random_range(b'0'..=b'9')));
+                out.offer(DbToken::Ascii(rng.random_range(b'0'..=b'9')));
             }
         }
     }
-    out.truncate(n);
-    out
 }
 
 /// Generate `n` tokens of model Simplified-Chinese text: level-1 hanzi
 /// core, a steady level-2 tail, GB symbol punctuation, no inter-word
-/// spaces.
-pub fn chinese_tokens(n: usize, rng: &mut Rng) -> Vec<DbToken> {
-    let mut out = Vec::with_capacity(n);
-    while out.len() < n {
+/// spaces. Each token goes to `emit`.
+pub fn chinese_into(n: usize, rng: &mut Rng, emit: impl FnMut(DbToken)) {
+    let mut out = Capped::new(n, emit);
+    while !out.full() {
         let (ku, ten) = match rng.random_range(0..100u32) {
             0..=64 => (
                 16 + rng.random_range(0..40) as u8,
@@ -160,31 +184,33 @@ pub fn chinese_tokens(n: usize, rng: &mut Rng) -> Vec<DbToken> {
             ),
             _ => (1u8, 1 + rng.random_range(0..10) as u8),
         };
-        out.push(DbToken::Cell(Kuten::new(ku, ten).unwrap()));
+        out.offer(cell(ku, ten));
         if rng.random_bool(0.04) {
-            out.push(DbToken::Ascii(b' '));
+            out.offer(DbToken::Ascii(b' '));
         }
     }
-    out.truncate(n);
-    out
 }
 
-/// English-like filler words for irrelevant pages.
-pub fn english_words(n_words: usize, rng: &mut Rng) -> String {
-    const WORDS: &[&str] = &[
-        "the", "of", "and", "to", "in", "for", "is", "on", "that", "by", "this", "with", "you",
-        "it", "not", "or", "be", "are", "from", "at", "as", "your", "all", "have", "new", "more",
-        "page", "home", "search", "news", "about", "contact", "site", "web", "info", "service",
-        "product", "company", "online", "free",
-    ];
-    let mut s = String::with_capacity(n_words * 6);
+fn cell(ku: u8, ten: u8) -> DbToken {
+    DbToken::Cell(Kuten::new(ku, ten).expect("generated rows and cells are in 1..=94"))
+}
+
+const WORDS: &[&str] = &[
+    "the", "of", "and", "to", "in", "for", "is", "on", "that", "by", "this", "with", "you", "it",
+    "not", "or", "be", "are", "from", "at", "as", "your", "all", "have", "new", "more", "page",
+    "home", "search", "news", "about", "contact", "site", "web", "info", "service", "product",
+    "company", "online", "free",
+];
+
+/// English-like filler words for irrelevant pages: each word and each
+/// separating space goes to `emit`.
+pub fn english_into(n_words: usize, rng: &mut Rng, mut emit: impl FnMut(&'static str)) {
     for i in 0..n_words {
         if i > 0 {
-            s.push(' ');
+            emit(" ");
         }
-        s.push_str(WORDS[rng.random_range(0..WORDS.len())]);
+        emit(WORDS[rng.random_range(0..WORDS.len())]);
     }
-    s
 }
 
 #[cfg(test)]
@@ -193,10 +219,17 @@ mod tests {
     use langcrawl_charset::thai;
     use langcrawl_rng::Rng;
 
+    /// Collect a generator's tokens.
+    fn tokens<T>(generate: impl FnOnce(&mut dyn FnMut(T))) -> Vec<T> {
+        let mut out = Vec::new();
+        generate(&mut |t| out.push(t));
+        out
+    }
+
     #[test]
     fn japanese_token_mix_is_realistic() {
         let mut rng = Rng::seed_from_u64(1);
-        let toks = japanese_tokens(5_000, &mut rng);
+        let toks = tokens(|emit| japanese_into(5_000, &mut rng, emit));
         assert_eq!(toks.len(), 5_000);
         let hira = toks
             .iter()
@@ -209,7 +242,7 @@ mod tests {
     #[test]
     fn thai_tokens_are_assigned_bytes() {
         let mut rng = Rng::seed_from_u64(2);
-        for t in thai_tokens(2_000, &mut rng) {
+        for t in tokens(|emit| thai_into(2_000, &mut rng, emit)) {
             if let ThToken::Thai(b) = t {
                 assert!(thai::is_thai_byte(b), "{b:02X}");
             }
@@ -219,7 +252,7 @@ mod tests {
     #[test]
     fn thai_orthography_scores_positive() {
         let mut rng = Rng::seed_from_u64(3);
-        let toks = thai_tokens(1_000, &mut rng);
+        let toks = tokens(|emit| thai_into(1_000, &mut rng, emit));
         let bytes: Vec<u8> = toks
             .iter()
             .map(|t| match t {
@@ -242,7 +275,7 @@ mod tests {
     #[test]
     fn korean_tokens_are_hangul_rows() {
         let mut rng = Rng::seed_from_u64(5);
-        for t in korean_tokens(1_000, &mut rng) {
+        for t in tokens(|emit| korean_into(1_000, &mut rng, emit)) {
             if let DbToken::Cell(k) = t {
                 assert!((16..=40).contains(&k.ku), "row {}", k.ku);
             }
@@ -252,7 +285,7 @@ mod tests {
     #[test]
     fn chinese_tokens_have_level2_tail() {
         let mut rng = Rng::seed_from_u64(6);
-        let toks = chinese_tokens(2_000, &mut rng);
+        let toks = tokens(|emit| chinese_into(2_000, &mut rng, emit));
         let l2 = toks
             .iter()
             .filter(|t| matches!(t, DbToken::Cell(k) if (56..=87).contains(&k.ku)))
@@ -264,15 +297,16 @@ mod tests {
     #[test]
     fn english_words_are_ascii() {
         let mut rng = Rng::seed_from_u64(4);
-        let s = english_words(200, &mut rng);
+        let mut s = String::new();
+        english_into(200, &mut rng, |w| s.push_str(w));
         assert!(s.is_ascii());
         assert!(s.split(' ').count() == 200);
     }
 
     #[test]
     fn deterministic_per_seed() {
-        let a = japanese_tokens(100, &mut Rng::seed_from_u64(9));
-        let b = japanese_tokens(100, &mut Rng::seed_from_u64(9));
+        let a = tokens(|emit| japanese_into(100, &mut Rng::seed_from_u64(9), emit));
+        let b = tokens(|emit| japanese_into(100, &mut Rng::seed_from_u64(9), emit));
         assert_eq!(a, b);
     }
 }
