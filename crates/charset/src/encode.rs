@@ -163,6 +163,22 @@ impl ThaiEncoder {
     }
 }
 
+/// Encode plain ASCII text (the "irrelevant page" filler for English-like
+/// pages; also valid Latin-1 and UTF-8 by construction).
+pub fn encode_ascii(text: &str) -> Vec<u8> {
+    let mut out = Vec::with_capacity(text.len());
+    encode_ascii_into(text, &mut out);
+    out
+}
+
+/// [`encode_ascii`] appending to a caller-owned buffer.
+#[inline]
+pub fn encode_ascii_into(text: &str, out: &mut Vec<u8>) {
+    for b in text.bytes() {
+        out.push(b & 0x7F);
+    }
+}
+
 /// Append `c` as UTF-8. The incremental encoders write byte by byte with
 /// `push` only, so a warm output buffer never reallocates.
 #[inline]
@@ -314,6 +330,11 @@ mod tests {
         let toks = vec![JaToken::K(Kuten::new(4, 2).unwrap())];
         let bytes = encode_japanese(&toks, Charset::Iso2022Jp);
         assert!(bytes.ends_with(&[0x1B, b'(', b'B']));
+    }
+
+    #[test]
+    fn ascii_passthrough() {
+        assert_eq!(encode_ascii("abc"), b"abc");
     }
 
     #[test]

@@ -25,6 +25,8 @@ use crate::types::Charset;
 /// assert_eq!(charset_from_label("klingon-8"), Charset::Unknown);
 /// ```
 pub fn charset_from_label(label: &str) -> Charset {
+    // Typed so the hot-path lint resolves `bytes()` on `str`: this runs
+    // on every content-mode fetch, under an alloc-free root.
     let trimmed: &str =
         label.trim_matches(|c: char| c.is_ascii_whitespace() || c == '"' || c == '\'');
     // Labels are short; a stack buffer lowercase avoids allocation on the

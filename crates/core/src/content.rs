@@ -205,7 +205,8 @@ impl<'a> ContentSimulator<'a> {
 
         let mut crawled = 0u64;
         let mut relevant_crawled = 0u64;
-        let mut samples = Vec::with_capacity((n as u64 / sample_interval) as usize + 2);
+        let expected_samples = (n as u64).checked_div(sample_interval).unwrap_or(0);
+        let mut samples = Vec::with_capacity(expected_samples as usize + 2);
         let s = &mut self.scratch;
         s.seen.resize(n, 0);
 
@@ -365,6 +366,23 @@ mod tests {
         );
         let r = sim.run(&mut BreadthFirst::new());
         assert_eq!(r.crawled, 100);
+    }
+
+    #[test]
+    fn zero_sample_interval_keeps_only_the_final_sample() {
+        let ws = space();
+        let mut sim = ContentSimulator::new(
+            &ws,
+            ContentConfig {
+                max_pages: Some(50),
+                sample_interval: Some(0),
+                ..ContentConfig::default()
+            },
+        );
+        let r = sim.run(&mut BreadthFirst::new());
+        assert_eq!(r.crawled, 50);
+        assert_eq!(r.samples.len(), 1);
+        assert_eq!(r.samples[0].crawled, 50);
     }
 
     #[test]

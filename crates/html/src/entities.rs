@@ -54,20 +54,20 @@ pub fn decode_entities_into(s: &str, out: &mut String) {
 
 /// The character an entity name (between `&` and `;`) stands for.
 fn decode_entity(name: &str) -> Option<char> {
-    let digits: &str = name.get(1..).unwrap_or_default();
     match name {
         "amp" => Some('&'),
         "lt" => Some('<'),
         "gt" => Some('>'),
         "quot" => Some('"'),
         "apos" => Some('\''),
-        _ if name.starts_with("#x") || name.starts_with("#X") => {
-            u32::from_str_radix(&name[2..], 16)
-                .ok()
-                .and_then(char::from_u32)
+        _ => {
+            let number: &str = name.strip_prefix('#')?;
+            let code = match number.strip_prefix(['x', 'X']) {
+                Some(hex) => u32::from_str_radix(hex, 16),
+                None => number.parse::<u32>(),
+            };
+            code.ok().and_then(char::from_u32)
         }
-        _ if name.starts_with('#') => digits.parse::<u32>().ok().and_then(char::from_u32),
-        _ => None,
     }
 }
 

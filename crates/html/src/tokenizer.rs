@@ -42,9 +42,6 @@ pub struct Tag<'a> {
     /// The attribute region: everything between the name and the `>`.
     /// Empty for end tags.
     region: &'a [u8],
-    /// The first attribute, read while finding the tag's end: looking it
-    /// up again needs no re-scan (`<a href>` is the tag a crawler reads).
-    first: Option<Attr<'a>>,
 }
 
 impl<'a> Tag<'a> {
@@ -59,11 +56,8 @@ impl<'a> Tag<'a> {
     /// Look up an attribute by (case-insensitive) name; the first one
     /// wins.
     pub fn attr(&self, name: &str) -> Option<Attr<'a>> {
-        let named = |a: &Attr<'_>| a.name.eq_ignore_ascii_case(name.as_bytes());
-        match self.first {
-            Some(a) if named(&a) => Some(a),
-            _ => self.attrs().find(named),
-        }
+        self.attrs()
+            .find(|a| a.name.eq_ignore_ascii_case(name.as_bytes()))
     }
 
     /// Is this tag named `name` (case-insensitive)?
@@ -235,29 +229,16 @@ impl<'a> Tokenizer<'a> {
             input: self.input,
             pos: self.pos,
         };
-        let first = attrs.next();
-        if first.is_some() {
-            while attrs.next().is_some() {}
-        }
+        while attrs.next().is_some() {}
         let region = &self.input[self.pos..attrs.pos];
         self.pos = attrs.pos;
         if self.peek() == Some(b'>') {
             self.pos += 1;
         }
-        Some(if closing {
-            Tag {
-                name,
-                closing,
-                region: &[],
-                first: None,
-            }
-        } else {
-            Tag {
-                name,
-                closing,
-                region,
-                first,
-            }
+        Some(Tag {
+            name,
+            closing,
+            region: if closing { &[] } else { region },
         })
     }
 }

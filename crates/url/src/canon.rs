@@ -54,8 +54,8 @@ impl Canonicalizer {
 
     /// `normalize(&resolve(base, reference)?)`, written into a buffer this
     /// canonicalizer owns and returned borrowed from it — or, when the
-    /// reference is already an absolute URL in canonical form (the common
-    /// case for crawled links), returned as is.
+    /// reference is already an absolute URL in canonical form, returned
+    /// as is. Every anchor of a synthesized page is such a URL.
     // lint:root(alloc-free) — one call per extracted link in content mode
     pub fn canonicalize<'s>(
         &'s mut self,

@@ -15,7 +15,7 @@
 //!    the heuristic the paper-era crawlers applied to their logs);
 //! 6. drop an empty query (`http://h/p?` → `http://h/p`).
 
-use crate::parse::{parse_parts, Parts, Url};
+use crate::parse::{has_control, is_lowercase_host, parse_parts, Parts, Url};
 use crate::resolve::{is_dot_free, remove_dots};
 
 /// Names treated as directory-index files and stripped from path ends.
@@ -62,13 +62,8 @@ pub(crate) fn write_canonical(parts: &Parts<'_>, tmp: &mut String, out: &mut Str
     };
     let path_start = out.len();
     decode_unreserved(path, out);
-    for idx in INDEX_NAMES {
-        if let Some(stripped) = out[path_start..].strip_suffix(idx) {
-            if stripped.ends_with('/') {
-                out.truncate(path_start + stripped.len());
-                break;
-            }
-        }
+    if let Some(len) = index_suffix_len(&out[path_start..]) {
+        out.truncate(out.len() - len);
     }
     if let Some(q) = parts.query.filter(|q| !q.is_empty()) {
         out.push('?');
@@ -76,12 +71,25 @@ pub(crate) fn write_canonical(parts: &Parts<'_>, tmp: &mut String, out: &mut Str
     }
 }
 
-/// Whether `text` is an absolute URL already in canonical form, so that
-/// canonicalizing it (as a reference against any base) returns it
-/// unchanged: a lowercase `http`/`https` scheme; a lowercase host with no
-/// userinfo or port; a dot-segment-free path with no escapes, spaces or
-/// controls that does not end in a directory-index name; no query or
-/// fragment. Conservative — anything else takes the full path.
+/// Length of a trailing directory-index segment name (`…/index.html`)
+/// that canonicalization strips, if `path` ends in one.
+fn index_suffix_len(path: &str) -> Option<usize> {
+    INDEX_NAMES
+        .iter()
+        .find(|idx| path.strip_suffix(*idx).is_some_and(|p| p.ends_with('/')))
+        .map(|idx| idx.len())
+}
+
+/// Whether `text` is an absolute URL that canonicalizing (as a reference
+/// against any base) returns unchanged, so it can be used as is. The
+/// checks are the rules the parser and [`write_canonical`] apply: a
+/// lowercase `http`/`https` scheme; a host the parser accepts, already
+/// lowercase (this also rules out userinfo and a port); a path with no
+/// controls, no escapes for [`decode_unreserved`] to rewrite, no query or
+/// fragment, no trailing space for the parser to trim, no dot segments,
+/// and no directory-index name. Conservative: anything else takes the
+/// full path. Every anchor the page synthesizer writes
+/// (`http://host/path`) passes.
 pub(crate) fn is_canonical(text: &str) -> bool {
     let Some(rest) = text
         .strip_prefix("http://")
@@ -92,46 +100,14 @@ pub(crate) fn is_canonical(text: &str) -> bool {
     let Some(slash) = rest.find('/') else {
         return false;
     };
-    let host: &str = &rest[..slash];
-    let path: &str = &rest[slash..];
-    !host.is_empty()
-        && host
-            .bytes()
-            .fold(true, |acc, b| acc & CANON_HOST[b as usize])
-        && path
-            .bytes()
-            .fold(true, |acc, b| acc & CANON_PATH[b as usize])
+    let (host, path) = rest.split_at(slash);
+    is_lowercase_host(host)
+        && !has_control(path)
+        && !path.contains(['%', '?', '#'])
+        && !path.ends_with(' ')
         && is_dot_free(path)
-        && !INDEX_NAMES
-            .iter()
-            .any(|idx| path.strip_suffix(idx).is_some_and(|p| p.ends_with('/')))
+        && index_suffix_len(path).is_none()
 }
-
-/// Host bytes that canonicalization leaves alone: lowercase ASCII
-/// alphanumerics, `-`, `.`, `_`.
-static CANON_HOST: [bool; 256] = {
-    let mut table = [false; 256];
-    let mut i = 0;
-    while i < 256 {
-        let b = i as u8;
-        table[i] = b.is_ascii_lowercase() || b.is_ascii_digit() || matches!(b, b'-' | b'.' | b'_');
-        i += 1;
-    }
-    table
-};
-
-/// Path bytes that canonicalization leaves alone: anything but controls,
-/// space, `%` (escapes get rewritten), `?` and `#` (query and fragment).
-static CANON_PATH: [bool; 256] = {
-    let mut table = [false; 256];
-    let mut i = 0;
-    while i < 256 {
-        let b = i as u8;
-        table[i] = b > b' ' && b != 0x7F && !matches!(b, b'%' | b'?' | b'#');
-        i += 1;
-    }
-    table
-};
 
 fn push_decimal(out: &mut String, n: u16) {
     let mut digits = [0u8; 5];

@@ -319,6 +319,15 @@ fn check_host(host: &str) -> Result<(), ParseError> {
     }
 }
 
+/// Whether `host` passes [`check_host`] and is already lowercase — what
+/// parsing leaves of it unchanged.
+pub(crate) fn is_lowercase_host(host: &str) -> bool {
+    !host.is_empty()
+        && host.bytes().fold(true, |acc, b| {
+            acc & HOST_BYTE[b as usize] & !b.is_ascii_uppercase()
+        })
+}
+
 /// Bytes allowed in a host name: ASCII alphanumerics, `-`, `.`, `_`.
 static HOST_BYTE: [bool; 256] = {
     let mut table = [false; 256];

@@ -15,7 +15,7 @@ use crate::graph::WebSpace;
 use crate::page::{PageId, PageKind};
 use crate::text;
 use langcrawl_charset::dbcs::DbcsEncoder;
-use langcrawl_charset::encode::{JapaneseEncoder, ThaiEncoder};
+use langcrawl_charset::encode::{encode_ascii_into, JapaneseEncoder, ThaiEncoder};
 use langcrawl_charset::{Charset, Language};
 
 use langcrawl_rng::{mix, Rng};
@@ -148,7 +148,7 @@ fn body_text(
             text::english_into(units, rng, |w| put_bytes(out, w.as_bytes()));
             put_bytes(out, b" caf\xe9");
         }
-        _ => text::english_into(units, rng, |w| put_bytes(out, w.as_bytes())),
+        _ => text::english_into(units, rng, |w| encode_ascii_into(w, out)),
     }
 }
 

@@ -54,7 +54,14 @@ impl<F> Capped<F> {
     }
 }
 
-/// Generate `n` tokens of model Japanese text, handing each to `emit`.
+/// Generate `n` tokens of model Japanese text.
+pub fn japanese_tokens(n: usize, rng: &mut Rng) -> Vec<JaToken> {
+    let mut out = Vec::with_capacity(n);
+    japanese_into(n, rng, |t| out.push(t));
+    out
+}
+
+/// [`japanese_tokens`], handing each token to `emit`.
 pub fn japanese_into(n: usize, rng: &mut Rng, emit: impl FnMut(JaToken)) {
     let mut out = Capped::new(n, emit);
     let kuten = |ku, ten| JaToken::K(Kuten::new(ku, ten).expect("kuten ranges are in 1..=94"));
@@ -109,8 +116,14 @@ const THAI_LEAD_VOWELS: &[u8] = &[0xE0, 0xE1, 0xE2, 0xE3, 0xE4];
 /// Tone marks (combining).
 const THAI_TONES: &[u8] = &[0xE8, 0xE9, 0xEA, 0xEB];
 
-/// Generate `n` tokens of model Thai text (canonical syllable structure),
-/// handing each to `emit`.
+/// Generate `n` tokens of model Thai text (canonical syllable structure).
+pub fn thai_tokens(n: usize, rng: &mut Rng) -> Vec<ThToken> {
+    let mut out = Vec::with_capacity(n);
+    thai_into(n, rng, |t| out.push(t));
+    out
+}
+
+/// [`thai_tokens`], handing each token to `emit`.
 pub fn thai_into(n: usize, rng: &mut Rng, emit: impl FnMut(ThToken)) {
     let mut out = Capped::new(n, emit);
     let pick = |set: &[u8], rng: &mut Rng| ThToken::Thai(set[rng.random_range(0..set.len())]);
@@ -147,8 +160,14 @@ pub fn thai_into(n: usize, rng: &mut Rng, emit: impl FnMut(ThToken)) {
 }
 
 /// Generate `n` tokens of model Korean text: precomposed hangul (KS X
-/// 1001 rows 16..=40), spaces between words, rare ASCII digits. Each
-/// token goes to `emit`.
+/// 1001 rows 16..=40), spaces between words, rare ASCII digits.
+pub fn korean_tokens(n: usize, rng: &mut Rng) -> Vec<DbToken> {
+    let mut out = Vec::with_capacity(n);
+    korean_into(n, rng, |t| out.push(t));
+    out
+}
+
+/// [`korean_tokens`], handing each token to `emit`.
 pub fn korean_into(n: usize, rng: &mut Rng, emit: impl FnMut(DbToken)) {
     let mut out = Capped::new(n, emit);
     while !out.full() {
@@ -169,7 +188,14 @@ pub fn korean_into(n: usize, rng: &mut Rng, emit: impl FnMut(DbToken)) {
 
 /// Generate `n` tokens of model Simplified-Chinese text: level-1 hanzi
 /// core, a steady level-2 tail, GB symbol punctuation, no inter-word
-/// spaces. Each token goes to `emit`.
+/// spaces.
+pub fn chinese_tokens(n: usize, rng: &mut Rng) -> Vec<DbToken> {
+    let mut out = Vec::with_capacity(n);
+    chinese_into(n, rng, |t| out.push(t));
+    out
+}
+
+/// [`chinese_tokens`], handing each token to `emit`.
 pub fn chinese_into(n: usize, rng: &mut Rng, emit: impl FnMut(DbToken)) {
     let mut out = Capped::new(n, emit);
     while !out.full() {
@@ -202,8 +228,15 @@ const WORDS: &[&str] = &[
     "company", "online", "free",
 ];
 
-/// English-like filler words for irrelevant pages: each word and each
-/// separating space goes to `emit`.
+/// English-like filler words for irrelevant pages.
+pub fn english_words(n_words: usize, rng: &mut Rng) -> String {
+    let mut s = String::with_capacity(n_words * 6);
+    english_into(n_words, rng, |w| s.push_str(w));
+    s
+}
+
+/// [`english_words`], handing each word and each separating space to
+/// `emit`.
 pub fn english_into(n_words: usize, rng: &mut Rng, mut emit: impl FnMut(&'static str)) {
     for i in 0..n_words {
         if i > 0 {
@@ -219,17 +252,10 @@ mod tests {
     use langcrawl_charset::thai;
     use langcrawl_rng::Rng;
 
-    /// Collect a generator's tokens.
-    fn tokens<T>(generate: impl FnOnce(&mut dyn FnMut(T))) -> Vec<T> {
-        let mut out = Vec::new();
-        generate(&mut |t| out.push(t));
-        out
-    }
-
     #[test]
     fn japanese_token_mix_is_realistic() {
         let mut rng = Rng::seed_from_u64(1);
-        let toks = tokens(|emit| japanese_into(5_000, &mut rng, emit));
+        let toks = japanese_tokens(5_000, &mut rng);
         assert_eq!(toks.len(), 5_000);
         let hira = toks
             .iter()
@@ -242,7 +268,7 @@ mod tests {
     #[test]
     fn thai_tokens_are_assigned_bytes() {
         let mut rng = Rng::seed_from_u64(2);
-        for t in tokens(|emit| thai_into(2_000, &mut rng, emit)) {
+        for t in thai_tokens(2_000, &mut rng) {
             if let ThToken::Thai(b) = t {
                 assert!(thai::is_thai_byte(b), "{b:02X}");
             }
@@ -252,7 +278,7 @@ mod tests {
     #[test]
     fn thai_orthography_scores_positive() {
         let mut rng = Rng::seed_from_u64(3);
-        let toks = tokens(|emit| thai_into(1_000, &mut rng, emit));
+        let toks = thai_tokens(1_000, &mut rng);
         let bytes: Vec<u8> = toks
             .iter()
             .map(|t| match t {
@@ -275,7 +301,7 @@ mod tests {
     #[test]
     fn korean_tokens_are_hangul_rows() {
         let mut rng = Rng::seed_from_u64(5);
-        for t in tokens(|emit| korean_into(1_000, &mut rng, emit)) {
+        for t in korean_tokens(1_000, &mut rng) {
             if let DbToken::Cell(k) = t {
                 assert!((16..=40).contains(&k.ku), "row {}", k.ku);
             }
@@ -285,7 +311,7 @@ mod tests {
     #[test]
     fn chinese_tokens_have_level2_tail() {
         let mut rng = Rng::seed_from_u64(6);
-        let toks = tokens(|emit| chinese_into(2_000, &mut rng, emit));
+        let toks = chinese_tokens(2_000, &mut rng);
         let l2 = toks
             .iter()
             .filter(|t| matches!(t, DbToken::Cell(k) if (56..=87).contains(&k.ku)))
@@ -297,16 +323,15 @@ mod tests {
     #[test]
     fn english_words_are_ascii() {
         let mut rng = Rng::seed_from_u64(4);
-        let mut s = String::new();
-        english_into(200, &mut rng, |w| s.push_str(w));
+        let s = english_words(200, &mut rng);
         assert!(s.is_ascii());
         assert!(s.split(' ').count() == 200);
     }
 
     #[test]
     fn deterministic_per_seed() {
-        let a = tokens(|emit| japanese_into(100, &mut Rng::seed_from_u64(9), emit));
-        let b = tokens(|emit| japanese_into(100, &mut Rng::seed_from_u64(9), emit));
+        let a = japanese_tokens(100, &mut Rng::seed_from_u64(9));
+        let b = japanese_tokens(100, &mut Rng::seed_from_u64(9));
         assert_eq!(a, b);
     }
 }
