@@ -908,15 +908,16 @@ fn bench_fault_overhead(rec: &mut BenchRecord, scale: u32) {
     );
 }
 
-/// The acceptance gate for the virtual-time scheduler: a default
+/// The acceptance gate for the scheduler's default path: a default
 /// (single-slot, politeness-free) scheduled run — bit-identical to the
 /// legacy loop by the conformance suite — must cost no more than 5%
-/// over that loop. The scheduler earns this with the tiered
-/// degenerate-point elision (the host machinery provably cannot bite
-/// at `K = 1` with zero politeness, and with no `SlotIdle`-interested
-/// sink the schedule *is* the legacy loop, so `run_scheduled` runs it
-/// verbatim — the same move as the fault layer's inert-model fast
-/// path); the gate exists to catch that elision regressing. Timed
+/// over that loop. With no `SlotIdle`-interested sink the
+/// degenerate-point elision routes `run_scheduled` to the legacy loop
+/// itself (the same move as the fault layer's inert-model fast path),
+/// so this gate prices the *elided* default path — the dispatch in
+/// front of the loop — and catches the elision regressing. It does not
+/// price the virtual-time event loop at `K = 1`, which costs more than
+/// the legacy loop and is why the elision exists (DESIGN.md §5). Timed
 /// interleaved and compared on per-config minima, like the other
 /// overhead gates.
 fn bench_sched_overhead(rec: &mut BenchRecord, scale: u32) {

@@ -10,25 +10,28 @@
 //! scanner, resolved against the page URL, and routed through the URL
 //! index — the whole crawler stack with no shortcuts.
 //!
-//! The fetch path is allocation-free once warm: the body, the page URL,
-//! the link extractor's buffers and the resolved-link list live in a
-//! [`FetchScratch`] kept on the simulator across fetches and runs.
+//! It runs on the engine loop metadata mode runs on (same frontier,
+//! faults, retries and events); only the engine's fetch seam differs.
+//! That fetch path is allocation-free once warm: every buffer lives in
+//! a `ContentFetch` kept on the simulator across fetches and runs.
 //!
 //! It is orders of magnitude slower per page, so the figure harnesses
 //! stay in metadata mode; content mode validates that the two agree
 //! (`tests/integration_pipeline.rs`, Ablation B) and powers realistic
 //! demos.
 
-use crate::metrics::{CrawlReport, Sample};
-use crate::queue::{Entry, UrlQueue};
-use crate::strategy::{PageView, Strategy};
+use crate::engine::{CrawlEngine, EngineConfig, EngineScratch, Fetch};
+use crate::event::MetricsSampler;
+use crate::metrics::CrawlReport;
+use crate::sched::SchedConfig;
+use crate::strategy::Strategy;
 use langcrawl_charset::{detect_with, DetectorConfig, Language};
 use langcrawl_html::{extract_meta_charset, LinkExtractor};
 use langcrawl_webgraph::index::UrlIndex;
 use langcrawl_webgraph::{PageId, WebSpace};
 
 /// How the content-mode classifier judges a page's bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ContentClassifier {
     /// META charset label only (the paper's Thai path). Pages without a
     /// recognisable target-language label are irrelevant.
@@ -37,12 +40,13 @@ pub enum ContentClassifier {
     DetectorOnly,
     /// META first, detector as fallback when META is absent or names a
     /// language-neutral charset — the composite a production crawler
-    /// runs.
+    /// runs. The default.
+    #[default]
     MetaThenDetector,
 }
 
 /// Content-mode simulation parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ContentConfig {
     /// Classification mode.
     pub classifier: ContentClassifier,
@@ -50,33 +54,27 @@ pub struct ContentConfig {
     pub detector: DetectorConfig,
     /// Stop after this many fetches.
     pub max_pages: Option<u64>,
-    /// Sample cadence (`None` = ~512 samples).
+    /// Sample cadence (`None` = ~512 samples, `Some(0)` = final sample
+    /// only).
     pub sample_interval: Option<u64>,
-}
-
-impl Default for ContentConfig {
-    fn default() -> Self {
-        ContentConfig {
-            classifier: ContentClassifier::MetaThenDetector,
-            detector: DetectorConfig::default(),
-            max_pages: None,
-            sample_interval: None,
-        }
-    }
 }
 
 /// The byte-level simulator.
 #[derive(Debug)]
 pub struct ContentSimulator<'a> {
     ws: &'a WebSpace,
-    index: UrlIndex,
-    config: ContentConfig,
-    scratch: FetchScratch,
+    fetch: ContentFetch,
+    /// Engine scratch, reused across runs like [`crate::sim::Simulator`]'s.
+    scratch: EngineScratch,
 }
 
-/// Per-fetch buffers, reused across fetches and runs.
-#[derive(Debug, Default)]
-struct FetchScratch {
+/// The content-mode fetch seam: renders a page, classifies its bytes
+/// and resolves its links. Every buffer is reused across fetches and
+/// runs.
+#[derive(Debug)]
+struct ContentFetch {
+    index: UrlIndex,
+    config: ContentConfig,
     /// The rendered page.
     body: Vec<u8>,
     /// The page's URL, the base its links resolve against.
@@ -87,86 +85,49 @@ struct FetchScratch {
     /// canonical URL, so this is the order and set the canonical strings
     /// themselves would give.
     resolved: Vec<PageId>,
-    admissions: Vec<Entry>,
     /// `seen[t] == stamp` marks page `t` as already in `resolved`.
     seen: Vec<u32>,
     stamp: u32,
 }
 
-impl<'a> ContentSimulator<'a> {
-    /// Build a content-mode simulator (constructs the URL index — one
-    /// pass over the space).
-    pub fn new(ws: &'a WebSpace, config: ContentConfig) -> Self {
-        ContentSimulator {
-            ws,
-            index: UrlIndex::build(ws),
-            config,
-            scratch: FetchScratch::default(),
-        }
+impl Fetch for ContentFetch {
+    fn fetch<'s>(&'s mut self, ws: &'s WebSpace, p: PageId) -> (f64, &'s [PageId]) {
+        // lint:allow(no-panic-transitive): the byte pipeline is total over generator output; pinned by the synth golden, charset conformance, url reference-equivalence and html scan-equivalence suites
+        let relevance = self.read_page(ws, p);
+        (relevance, &self.resolved)
     }
+}
 
-    /// The simulation parameters, for adjusting between runs (the
-    /// per-fetch buffers stay warm across them).
-    pub fn config_mut(&mut self) -> &mut ContentConfig {
-        &mut self.config
-    }
-
-    /// Classify rendered page bytes per the configured §3.2 pipeline.
-    fn classify(config: &ContentConfig, bytes: &[u8], target: Language) -> f64 {
-        let meta_lang = || extract_meta_charset(bytes).and_then(|cs| cs.language());
-        let detector_lang = || detect_with(bytes, &config.detector).language();
-        let judged = match config.classifier {
-            ContentClassifier::MetaOnly => meta_lang(),
-            ContentClassifier::DetectorOnly => detector_lang(),
-            ContentClassifier::MetaThenDetector => meta_lang().or_else(detector_lang),
-        };
-        if judged == Some(target) {
-            1.0
-        } else {
-            0.0
-        }
-    }
-
-    /// Fetch one page: render it into the scratch body, classify the
-    /// bytes, and resolve its links into `scratch.resolved`. Returns the
-    /// relevance verdict.
-    // lint:root(alloc-free) — once per fetch; every buffer lives in FetchScratch
-    fn fetch_page(&mut self, p: PageId, target: Language) -> f64 {
-        let (ws, index) = (self.ws, &self.index);
-        let s = &mut self.scratch;
-        // Fetch: the virtual web serves bytes (empty for failures).
-        ws.synthesize_page_into(p, &mut s.body);
-        let is_html = ws.meta(p).is_ok_html();
-        let relevance = if is_html && !s.body.is_empty() {
-            Self::classify(&self.config, &s.body, target)
-        } else {
-            0.0
-        };
+impl ContentFetch {
+    /// Render page `p`, classify its bytes and resolve its links into
+    /// `self.resolved`. Returns the relevance verdict.
+    // lint:root(alloc-free) — once per fetch; every buffer lives in ContentFetch
+    fn read_page(&mut self, ws: &WebSpace, p: PageId) -> f64 {
+        ws.synthesize_page_into(p, &mut self.body);
+        let relevance = self.classify(ws.target_language());
 
         // Link extraction + resolution, all at the byte level.
-        s.resolved.clear();
-        if !is_html {
+        self.resolved.clear();
+        self.url.clear();
+        ws.write_url(p, &mut self.url);
+        if self.links.set_base(&self.url).is_err() {
             return relevance;
         }
-        s.url.clear();
-        ws.write_url(p, &mut s.url);
-        if s.links.set_base(&s.url).is_err() {
-            return relevance;
-        }
-        s.stamp = s.stamp.wrapping_add(1);
-        if s.stamp == 0 {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
             // Stamp wrap: forget every mark so none can alias.
-            s.seen.fill(0);
-            s.stamp = 1;
+            self.seen.fill(0);
+            self.stamp = 1;
         }
-        let FetchScratch {
+        let ContentFetch {
+            index,
             body,
             links,
             resolved,
             seen,
             stamp,
             ..
-        } = s;
+        } = self;
         links.for_each_link(body, |url| {
             // Unresolvable links = dangling URLs; a real crawler would
             // fetch-and-404 them. The generator emits none, so nothing is
@@ -183,103 +144,87 @@ impl<'a> ContentSimulator<'a> {
         relevance
     }
 
-    /// Run one crawl, learning everything from bytes.
+    /// Classify the rendered bytes per the configured §3.2 pipeline.
+    fn classify(&self, target: Language) -> f64 {
+        let bytes = self.body.as_slice();
+        let meta_lang = || extract_meta_charset(bytes).and_then(|cs| cs.language());
+        let detector_lang = || detect_with(bytes, &self.config.detector).language();
+        let judged = match self.config.classifier {
+            ContentClassifier::MetaOnly => meta_lang(),
+            ContentClassifier::DetectorOnly => detector_lang(),
+            ContentClassifier::MetaThenDetector => meta_lang().or_else(detector_lang),
+        };
+        if judged == Some(target) {
+            1.0
+        } else {
+            0.0
+        }
+    }
+}
+
+impl<'a> ContentSimulator<'a> {
+    /// Build a content-mode simulator (constructs the URL index — one
+    /// pass over the space).
+    pub fn new(ws: &'a WebSpace, config: ContentConfig) -> Self {
+        ContentSimulator {
+            ws,
+            fetch: ContentFetch {
+                index: UrlIndex::build(ws),
+                config,
+                body: Vec::new(),
+                url: String::new(),
+                links: LinkExtractor::default(),
+                resolved: Vec::new(),
+                seen: Vec::new(),
+                stamp: 0,
+            },
+            scratch: EngineScratch::new(),
+        }
+    }
+
+    /// The simulation parameters, for adjusting between runs (the
+    /// per-fetch buffers stay warm across them).
+    pub fn config_mut(&mut self) -> &mut ContentConfig {
+        &mut self.fetch.config
+    }
+
+    /// Run one crawl, learning everything from bytes. The space's own
+    /// fault model applies, exactly as in [`crate::sim::Simulator`].
     pub fn run(&mut self, strategy: &mut dyn Strategy) -> CrawlReport {
         let ws = self.ws;
-        let target = ws.target_language();
-        let n = ws.num_pages();
-        let sample_interval = self
-            .config
-            .sample_interval
-            .unwrap_or_else(|| (n as u64 / 512).max(1));
-        let budget = self.config.max_pages.unwrap_or(u64::MAX);
-
-        let mut queue = UrlQueue::new(n, strategy.levels());
-        for &s in ws.seeds() {
-            queue.push(Entry {
-                page: s,
-                priority: 0,
-                distance: 0,
-            });
-        }
-
-        let mut crawled = 0u64;
-        let mut relevant_crawled = 0u64;
-        let expected_samples = (n as u64).checked_div(sample_interval).unwrap_or(0);
-        let mut samples = Vec::with_capacity(expected_samples as usize + 2);
-        let s = &mut self.scratch;
-        s.seen.resize(n, 0);
-
-        while let Some(entry) = queue.pop() {
-            let p = entry.page;
-            crawled += 1;
-
-            let relevance = self.fetch_page(p, target);
-            if ws.is_relevant(p) {
-                relevant_crawled += 1;
-            }
-            let consec = if relevance > 0.5 {
-                0
-            } else {
-                entry.distance.saturating_add(1)
-            };
-
-            let s = &mut self.scratch;
-            let view = PageView {
-                page: p,
-                relevance,
-                consec_irrelevant: consec,
-                outlinks: &s.resolved,
-                crawled,
-            };
-            s.admissions.clear();
-            strategy.admit(&view, &mut s.admissions);
-            for &a in &s.admissions {
-                queue.push(a);
-            }
-
-            if crawled.is_multiple_of(sample_interval) {
-                samples.push(Sample {
-                    crawled,
-                    relevant: relevant_crawled,
-                    queue_size: queue.pending(),
-                });
-            }
-            if crawled >= budget {
-                break;
-            }
-        }
-
-        if samples.last().map(|s| s.crawled) != Some(crawled) {
-            samples.push(Sample {
-                crawled,
-                relevant: relevant_crawled,
-                queue_size: queue.pending(),
-            });
-        }
-
-        CrawlReport {
-            strategy: strategy.name(),
-            classifier: match self.config.classifier {
-                ContentClassifier::MetaOnly => "content/meta",
-                ContentClassifier::DetectorOnly => "content/detector",
-                ContentClassifier::MetaThenDetector => "content/composite",
-            }
-            .to_string(),
-            samples,
-            crawled,
-            relevant_crawled,
-            total_relevant: ws.total_relevant() as u64,
-            max_queue: queue.max_pending(),
-            total_pushes: queue.total_pushes(),
-            visited: Vec::new(),
-            // The content pipeline has no fault layer: one attempt per
-            // page, nothing retried or abandoned.
-            attempts: crawled,
-            retries: 0,
-            gave_up: 0,
-            ticks: crawled,
-        }
+        let config = &self.fetch.config;
+        let engine = CrawlEngine::new(
+            ws,
+            EngineConfig {
+                max_pages: config.max_pages,
+                sample_interval: config.sample_interval,
+                fault: ws.fault().clone(),
+                ..EngineConfig::default()
+            },
+        );
+        let classifier = match config.classifier {
+            ContentClassifier::MetaOnly => "content/meta",
+            ContentClassifier::DetectorOnly => "content/detector",
+            ContentClassifier::MetaThenDetector => "content/composite",
+        };
+        self.fetch.seen.resize(ws.num_pages(), 0);
+        let mut metrics = MetricsSampler::new();
+        let (outcome, _) = engine.dispatch_sched(
+            &SchedConfig::default(),
+            strategy,
+            &mut self.fetch,
+            &mut [&mut metrics],
+            &mut self.scratch,
+            None,
+        );
+        CrawlReport::from_outcome(
+            ws,
+            strategy.name(),
+            classifier.to_string(),
+            metrics.into_samples(),
+            Vec::new(),
+            &outcome,
+        )
     }
 }
 
@@ -289,7 +234,7 @@ mod tests {
     use crate::classifier::MetaClassifier;
     use crate::sim::{SimConfig, Simulator};
     use crate::strategy::{BreadthFirst, SimpleStrategy};
-    use langcrawl_webgraph::GeneratorConfig;
+    use langcrawl_webgraph::{FaultConfig, GeneratorConfig};
 
     fn space() -> WebSpace {
         GeneratorConfig::thai_like().scaled(2_500).build(8)
@@ -306,29 +251,45 @@ mod tests {
 
     /// Byte-level META-only crawling must match metadata-mode crawling
     /// with the MetaClassifier *exactly*: same crawl order inputs, same
-    /// admissions, same curves.
+    /// admissions, same curves — and, on a space generated with faults,
+    /// the same attempts, retries and abandoned pages.
     #[test]
     fn content_meta_equals_metadata_mode() {
-        let ws = space();
-        let mut csim = ContentSimulator::new(
-            &ws,
-            ContentConfig {
-                classifier: ContentClassifier::MetaOnly,
-                ..ContentConfig::default()
-            },
-        );
-        let content = csim.run(&mut SimpleStrategy::hard());
+        let faulted = GeneratorConfig::thai_like()
+            .scaled(2_500)
+            .with_faults(FaultConfig {
+                transient_rate: 0.5,
+                ..FaultConfig::with_rate(0.2)
+            })
+            .build(8);
+        for ws in [&space(), &faulted] {
+            let mut csim = ContentSimulator::new(
+                ws,
+                ContentConfig {
+                    classifier: ContentClassifier::MetaOnly,
+                    ..ContentConfig::default()
+                },
+            );
+            let content = csim.run(&mut SimpleStrategy::hard());
 
-        let mut msim = Simulator::new(&ws, SimConfig::default());
-        let meta = msim.run(
-            &mut SimpleStrategy::hard(),
-            &MetaClassifier::target(ws.target_language()),
-        );
+            let mut msim = Simulator::new(ws, SimConfig::default());
+            let meta = msim.run(
+                &mut SimpleStrategy::hard(),
+                &MetaClassifier::target(ws.target_language()),
+            );
 
-        assert_eq!(content.crawled, meta.crawled);
-        assert_eq!(content.relevant_crawled, meta.relevant_crawled);
-        assert_eq!(content.max_queue, meta.max_queue);
-        assert_eq!(content.samples, meta.samples);
+            assert_eq!(content.classifier, "content/meta");
+            assert_eq!(
+                CrawlReport {
+                    classifier: meta.classifier.clone(),
+                    ..content
+                },
+                meta
+            );
+            if std::ptr::eq(ws, &faulted) {
+                assert!(meta.retries > 0 && meta.gave_up > 0, "the faults must fire");
+            }
+        }
     }
 
     /// The composite classifier rescues mislabeled pages, so hard-focused

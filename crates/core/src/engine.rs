@@ -4,7 +4,11 @@
 //! crawl step. Everything with a policy lives behind a seam:
 //!
 //! * **what to crawl next** — a [`Frontier`] passed per run;
-//! * **what a page means** — the [`Classifier`];
+//! * **what a delivered page says** — the crate-internal `Fetch` seam:
+//!   its relevance verdict and its outlinks. Metadata mode (`MetaFetch`)
+//!   asks a [`Classifier`] and reads the trace's link table; content
+//!   mode ([`crate::content`]) renders the page and learns both from its
+//!   bytes;
 //! * **what to enqueue** — the [`Strategy`] (the paper's observer);
 //! * **who watches** — any number of [`EventSink`]s receiving the typed
 //!   event stream ([`CrawlEvent`]).
@@ -20,7 +24,7 @@ use crate::frontier::Frontier;
 use crate::queue::Entry;
 use crate::retry::RetryPolicy;
 use crate::strategy::{PageView, Strategy};
-use langcrawl_webgraph::{FaultConfig, FaultModel, FetchOutcome, PageKind, WebSpace};
+use langcrawl_webgraph::{FaultConfig, FaultModel, FetchOutcome, PageId, PageKind, WebSpace};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -31,7 +35,9 @@ pub struct EngineConfig {
     /// Stop after this many fetches (`None` = run the frontier dry).
     pub max_pages: Option<u64>,
     /// Emit [`CrawlEvent::Sampled`] every this many fetches (`None` =
-    /// pick ~512 points across the space automatically).
+    /// pick ~512 points across the space automatically, `Some(0)` =
+    /// never, leaving only the final state a sink records at
+    /// [`CrawlEvent::Finished`]).
     pub sample_interval: Option<u64>,
     /// Drop obviously non-HTML URLs (the extension filter) before they
     /// reach the frontier.
@@ -56,6 +62,18 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
+    /// The sampling cadence a run over `num_pages` pages counts down
+    /// from (see [`EngineConfig::sample_interval`]). `Some(0)` maps to
+    /// `u64::MAX`: the countdown never reaches zero, and it stays a
+    /// valid, resumable snapshot value.
+    pub(crate) fn sample_cadence(&self, num_pages: usize) -> u64 {
+        match self.sample_interval {
+            None => (num_pages as u64 / 512).max(1),
+            Some(0) => u64::MAX,
+            Some(k) => k,
+        }
+    }
+
     /// Fingerprint of every config field that shapes the crawl —
     /// folded into snapshots and re-checked on resume, so a snapshot
     /// cannot silently continue under a different budget, fault model
@@ -236,7 +254,7 @@ impl<'a> CrawlEngine<'a> {
     /// ignored; only capacity carries over.
     pub fn run_with_scratch<F, S, C>(
         &self,
-        mut frontier: F,
+        frontier: F,
         strategy: &mut S,
         classifier: &C,
         sinks: &mut [&mut dyn EventSink],
@@ -247,12 +265,30 @@ impl<'a> CrawlEngine<'a> {
         S: Strategy + ?Sized,
         C: Classifier + ?Sized,
     {
+        let fetch = &mut MetaFetch(classifier);
+        self.legacy_loop(frontier, strategy, fetch, sinks, scratch)
+    }
+
+    /// The legacy single-slot loop behind [`CrawlEngine::run_with_scratch`],
+    /// generic over the [`Fetch`] seam. The scheduler's degenerate point
+    /// (one slot, zero politeness) runs here too: it is the `K = 1` fast
+    /// path.
+    pub(crate) fn legacy_loop<F, S, X>(
+        &self,
+        mut frontier: F,
+        strategy: &mut S,
+        fetch: &mut X,
+        sinks: &mut [&mut dyn EventSink],
+        scratch: &mut EngineScratch,
+    ) -> EngineOutcome
+    where
+        F: Frontier,
+        S: Strategy + ?Sized,
+        X: Fetch + ?Sized,
+    {
         scratch.begin_run();
         let ws = self.ws;
-        let sample_interval = self
-            .config
-            .sample_interval
-            .unwrap_or_else(|| (ws.num_pages() as u64 / 512).max(1));
+        let sample_interval = self.config.sample_cadence(ws.num_pages());
         let budget = self.config.max_pages.unwrap_or(u64::MAX);
         // Union of the sinks' interest masks: event variants nobody
         // listens to are never constructed or dispatched.
@@ -389,7 +425,7 @@ impl<'a> CrawlEngine<'a> {
                 &mut st,
                 &mut frontier,
                 strategy,
-                classifier,
+                fetch,
                 scratch,
                 Resolution {
                     entry,
@@ -430,8 +466,9 @@ impl<'a> CrawlEngine<'a> {
 
     /// The shared resolution step: an attempt has concluded a page's
     /// story (delivered, permanently failed, or retries exhausted).
-    /// Emits the page's fixed event sequence, classifies, admits
-    /// outlinks through the strategy into the frontier, and samples.
+    /// Emits the page's fixed event sequence, asks the [`Fetch`] seam
+    /// what a delivered page says, admits its outlinks through the
+    /// strategy into the frontier, and samples.
     /// Both run paths end every page here — the legacy loop above and
     /// the virtual-time scheduler ([`crate::sched`]) — which is what
     /// keeps a `K = 1`, politeness-0 scheduled run bit-identical to the
@@ -439,18 +476,18 @@ impl<'a> CrawlEngine<'a> {
     // lint:root(alloc-free) — runs once per resolved fetch; all
     // buffers live in `scratch`, so a steady-state resolution
     // allocates nothing.
-    pub(crate) fn resolve<F, S, C>(
+    pub(crate) fn resolve<F, S, X>(
         &self,
         st: &mut RunState<'_, '_>,
         frontier: &mut F,
         strategy: &mut S,
-        classifier: &C,
+        fetch: &mut X,
         scratch: &mut EngineScratch,
         r: Resolution,
     ) where
         F: Frontier,
         S: Strategy + ?Sized,
-        C: Classifier + ?Sized,
+        X: Fetch + ?Sized,
     {
         let ws = self.ws;
         let p = r.entry.page;
@@ -483,14 +520,13 @@ impl<'a> CrawlEngine<'a> {
         }
 
         // Only OK HTML pages *that were actually delivered* have
-        // content to classify (a page behind a dead host or an
-        // exhausted retry budget never arrived).
+        // content to classify and links to follow (a page behind a dead
+        // host or an exhausted retry budget never arrived).
         let delivered = meta.is_ok_html() && r.outcome.is_ok();
-        let relevance = if delivered {
-            // lint:allow(no-alloc-transitive): pluggable classifier — meta/oracle are alloc-free; the detector's synthesis cost is the documented content-mode tradeoff (Ablation B)
-            classifier.relevance(ws, p)
+        let (relevance, outlinks): (f64, &[PageId]) = if delivered {
+            fetch.fetch(ws, p)
         } else {
-            0.0
+            (0.0, &[])
         };
         let relevant = ws.is_relevant(p) && r.outcome.is_ok();
         if relevant {
@@ -516,7 +552,6 @@ impl<'a> CrawlEngine<'a> {
             r.entry.distance.saturating_add(1)
         };
 
-        let outlinks = if delivered { ws.outlinks(p) } else { &[] };
         let view = PageView {
             page: p,
             relevance,
@@ -577,6 +612,31 @@ impl<'a> CrawlEngine<'a> {
                 );
             }
         }
+    }
+}
+
+/// The fetch seam: what a *delivered* page says — its relevance
+/// verdict and its outlinks. The engine asks it once per delivered
+/// page, inside [`CrawlEngine::resolve`]; failed pages never reach it.
+/// Outlinks may borrow from the implementation's own buffers until the
+/// next call.
+pub(crate) trait Fetch {
+    /// Relevance in [0, 1] and outlinks of delivered page `p`.
+    fn fetch<'s>(&'s mut self, ws: &'s WebSpace, p: PageId) -> (f64, &'s [PageId]);
+}
+
+/// Metadata mode: a [`Classifier`] judges the recorded page properties
+/// and the outlinks come straight from the trace's link table.
+pub(crate) struct MetaFetch<'c, C: ?Sized>(pub(crate) &'c C);
+
+impl<C: Classifier + ?Sized> Fetch for MetaFetch<'_, C> {
+    #[inline]
+    fn fetch<'s>(&'s mut self, ws: &'s WebSpace, p: PageId) -> (f64, &'s [PageId]) {
+        (
+            // lint:allow(no-alloc-transitive): pluggable classifier — meta/oracle are alloc-free; the detector's synthesis cost is the documented content-mode tradeoff (Ablation B)
+            self.0.relevance(ws, p),
+            ws.outlinks(p),
+        )
     }
 }
 

@@ -27,8 +27,10 @@
 //! * [`engine::CrawlEngine`] — the crawl loop itself: pop, "download",
 //!   classify, admit. Every policy is injected; the loop owns only the
 //!   order of operations. The **visitor** is the fetch-and-extract step
-//!   inside it: it asks the virtual web space for a page's status,
-//!   charset and outlinks.
+//!   inside it, one seam with two implementations: metadata mode asks
+//!   the virtual web space for a page's charset and outlinks; content
+//!   mode ([`content::ContentSimulator`]) renders the page and learns
+//!   both from its bytes.
 //! * [`frontier`] — *what to crawl next*: the [`frontier::Frontier`]
 //!   trait with two implementations — [`queue::UrlQueue`] (FIFO rings
 //!   bucketed by priority level, the paper's discipline, with the

@@ -12,7 +12,6 @@
 
 /// One point of the crawl time series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Sample {
     /// Pages crawled so far (x-axis).
     pub crawled: u64,
@@ -39,7 +38,6 @@ impl Sample {
 /// reports from deterministic runs can be compared bit-for-bit — the
 /// engine-parity test depends on this.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CrawlReport {
     /// Strategy name (e.g. `"soft-focused"`).
     pub strategy: String,
@@ -59,29 +57,51 @@ pub struct CrawlReport {
     pub total_pushes: u64,
     /// Crawled page ids in fetch order; empty unless the run was
     /// configured with [`crate::sim::SimConfig::with_visit_recording`].
-    #[cfg_attr(feature = "serde", serde(default))]
     pub visited: Vec<u32>,
     /// Total fetch attempts performed; equals `crawled` when no fault
     /// fired (every page resolved on its first attempt).
-    #[cfg_attr(feature = "serde", serde(default))]
     pub attempts: u64,
     /// Attempts beyond a page's first — the retry traffic caused by
     /// transient failures.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub retries: u64,
     /// Pages abandoned after exhausting their retry budget.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub gave_up: u64,
     /// Virtual ticks the crawl spanned (the schedule's makespan). With
     /// the legacy single-slot engine this tracks attempts plus backoff
     /// fast-forwards; under the virtual-time scheduler
     /// ([`crate::sched::SchedConfig`]) it shrinks with the slot count
     /// and stretches with politeness stalls.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub ticks: u64,
 }
 
 impl CrawlReport {
+    /// Package one engine run: the outcome's counters, the sampled
+    /// series, the recorded visits and the space's coverage denominator.
+    pub(crate) fn from_outcome(
+        ws: &langcrawl_webgraph::WebSpace,
+        strategy: String,
+        classifier: String,
+        samples: Vec<Sample>,
+        visited: Vec<u32>,
+        outcome: &crate::engine::EngineOutcome,
+    ) -> Self {
+        CrawlReport {
+            strategy,
+            classifier,
+            samples,
+            crawled: outcome.crawled,
+            relevant_crawled: outcome.relevant_crawled,
+            total_relevant: ws.total_relevant() as u64,
+            max_queue: outcome.max_pending,
+            total_pushes: outcome.total_pushes,
+            visited,
+            attempts: outcome.attempts,
+            retries: outcome.retries,
+            gave_up: outcome.gave_up,
+            ticks: outcome.ticks,
+        }
+    }
+
     /// Final harvest rate.
     pub fn final_harvest(&self) -> f64 {
         if self.crawled == 0 {
@@ -159,10 +179,8 @@ impl CrawlReport {
 
     /// Serialize the report as one JSON object.
     ///
-    /// Hand-rolled (like [`CrawlReport::write_csv`]) so the default
-    /// offline build needs no serde; the `serde` cargo feature adds
-    /// derive-based serialization on top for environments that have the
-    /// dependency available.
+    /// Hand-rolled (like [`CrawlReport::write_csv`]) so the build needs
+    /// no external serialization crate.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + 64 * self.samples.len());
         out.push_str("{\"strategy\":");

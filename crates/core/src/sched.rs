@@ -25,10 +25,11 @@
 //! pop tick + 1" accounting as the legacy loop — and a single-slot
 //! schedule never reorders anything, so the conformance goldens for the
 //! legacy engine pin this path bit-for-bit (with and without the
-//! degenerate-point frontier elision; see
-//! [`CrawlEngine::run_scheduled_full`]). The scheduler-overhead
-//! microbench gate keeps the default `K = 1` configuration within 5%
-//! of the legacy loop.
+//! degenerate-point elision; see [`CrawlEngine::run_scheduled_full`]).
+//! At that point the default run is handed to the legacy loop itself,
+//! which is cheaper per page than this event loop; the
+//! scheduler-overhead microbench gate keeps that elided default path
+//! within 5% of calling the legacy loop directly.
 //!
 //! Politeness is a *start-to-start* gap, BUbiNG-style: a host that
 //! started a fetch at `t` may not start another before `t + gap(h)`,
@@ -38,7 +39,9 @@
 //! generation seed under the `STREAM_POLITENESS` domain.
 
 use crate::classifier::Classifier;
-use crate::engine::{CrawlEngine, EngineOutcome, EngineScratch, Resolution, RunState};
+use crate::engine::{
+    CrawlEngine, EngineOutcome, EngineScratch, Fetch, MetaFetch, Resolution, RunState,
+};
 use crate::event::{interest, CrawlEvent, EventSink};
 use crate::frontier::Frontier;
 use crate::queue::{Entry, UrlQueue};
@@ -228,7 +231,7 @@ struct InFlight {
 
 /// A snapshot request for one run: capture every `every` ticks into
 /// `sink`.
-struct SnapPlan<'a> {
+pub(crate) struct SnapPlan<'a> {
     every: u64,
     sink: &'a mut dyn SnapshotSink,
 }
@@ -520,6 +523,7 @@ impl CrawlEngine<'_> {
         S: Strategy + ?Sized,
         C: Classifier + ?Sized,
     {
+        let fetch = &mut MetaFetch(classifier);
         // Config-driven snapshot auto-wiring: a `snapshot_every` knob
         // plus a `LANGCRAWL_SNAPSHOT_DIR` environment directory turn
         // any scheduled run into a capturing one, writing framed
@@ -535,7 +539,7 @@ impl CrawlEngine<'_> {
                     return self.dispatch_sched(
                         sched,
                         strategy,
-                        classifier,
+                        fetch,
                         sinks,
                         scratch,
                         Some(SnapPlan {
@@ -546,7 +550,7 @@ impl CrawlEngine<'_> {
                 }
             }
         }
-        self.dispatch_sched(sched, strategy, classifier, sinks, scratch, None)
+        self.dispatch_sched(sched, strategy, fetch, sinks, scratch, None)
     }
 
     /// Is this the scheduler's degenerate point — the configuration at
@@ -560,19 +564,20 @@ impl CrawlEngine<'_> {
     }
 
     /// Pick the frontier tier and enter the event loop (or the legacy
-    /// loop at the degenerate point).
-    fn dispatch_sched<S, C>(
+    /// loop at the degenerate point) — the entry every scheduled run,
+    /// metadata or content mode, goes through.
+    pub(crate) fn dispatch_sched<S, X>(
         &self,
         sched: &SchedConfig,
         strategy: &mut S,
-        classifier: &C,
+        fetch: &mut X,
         sinks: &mut [&mut dyn EventSink],
         scratch: &mut EngineScratch,
         plan: Option<SnapPlan<'_>>,
     ) -> (EngineOutcome, Vec<ShardStats>)
     where
         S: Strategy + ?Sized,
-        C: Classifier + ?Sized,
+        X: Fetch + ?Sized,
     {
         let ws = self.web_space();
         // Degenerate-point elision, tiered like the fault layer's
@@ -592,8 +597,11 @@ impl CrawlEngine<'_> {
         //    structurally impossible). Then the schedule *is* the
         //    legacy loop, outcome, ticks, events and all (pinned by
         //    `single_slot_schedule_matches_legacy_engine`), so run it
-        //    verbatim — the scheduler-overhead microbench gate prices
-        //    this default path against the legacy loop directly.
+        //    verbatim: the `K = 1` fast path every default `Simulator`
+        //    and `ContentSimulator` run takes. The virtual-time loop
+        //    costs measurably more per page here (DESIGN.md §5); the
+        //    scheduler-overhead microbench gate prices this elided path,
+        //    not that loop.
         //    Snapshot capture needs the virtual-time loop's state
         //    layout, so a capturing run skips this tier (the loop over
         //    the rings is bit-identical anyway).
@@ -604,7 +612,7 @@ impl CrawlEngine<'_> {
         let wants = sinks.iter().fold(0u16, |m, s| m | s.interests());
         if plan.is_none() && degenerate && wants & interest::SLOT_IDLE == 0 {
             let frontier = UrlQueue::new(ws.num_pages(), strategy.levels());
-            let outcome = self.run_with_scratch(frontier, strategy, classifier, sinks, scratch);
+            let outcome = self.legacy_loop(frontier, strategy, fetch, sinks, scratch);
             return (outcome, Vec::new());
         }
         let levels = strategy.levels().max(1);
@@ -623,7 +631,7 @@ impl CrawlEngine<'_> {
             self.sched_loop(
                 sched,
                 strategy,
-                classifier,
+                fetch,
                 sinks,
                 scratch,
                 LoopCtl {
@@ -637,7 +645,7 @@ impl CrawlEngine<'_> {
             self.sched_loop(
                 sched,
                 strategy,
-                classifier,
+                fetch,
                 sinks,
                 scratch,
                 LoopCtl {
@@ -684,10 +692,6 @@ impl CrawlEngine<'_> {
         } else {
             Vec::new()
         };
-        let sample_interval = self
-            .config
-            .sample_interval
-            .unwrap_or_else(|| (ws.num_pages() as u64 / 512).max(1));
         let run = RunSnap {
             attempts: 0,
             retries: 0,
@@ -697,7 +701,7 @@ impl CrawlEngine<'_> {
             politeness,
             relevant_crawled: 0,
             gave_up: 0,
-            until_sample: sample_interval,
+            until_sample: self.config.sample_cadence(ws.num_pages()),
             attempt_counts: &[],
         };
         let seed = |frontier: &mut dyn SlotFrontier| {
@@ -745,7 +749,7 @@ impl CrawlEngine<'_> {
         self.dispatch_sched(
             sched,
             strategy,
-            classifier,
+            &mut MetaFetch(classifier),
             sinks,
             &mut scratch,
             Some(SnapPlan { every, sink }),
@@ -858,7 +862,7 @@ impl CrawlEngine<'_> {
             Ok(self.sched_loop(
                 &sched,
                 strategy,
-                classifier,
+                &mut MetaFetch(classifier),
                 sinks,
                 &mut scratch,
                 LoopCtl {
@@ -882,7 +886,7 @@ impl CrawlEngine<'_> {
             Ok(self.sched_loop(
                 &sched,
                 strategy,
-                classifier,
+                &mut MetaFetch(classifier),
                 sinks,
                 &mut scratch,
                 LoopCtl {
@@ -900,11 +904,11 @@ impl CrawlEngine<'_> {
     /// verbatim in place of seeding) and an optional capture plan.
     // lint:root(panic-free) — the steady-state event loop; every
     // simulated fetch passes through here.
-    fn sched_loop<F, S, C>(
+    fn sched_loop<F, S, X>(
         &self,
         sched: &SchedConfig,
         strategy: &mut S,
-        classifier: &C,
+        fetch: &mut X,
         sinks: &mut [&mut dyn EventSink],
         scratch: &mut EngineScratch,
         ctl: LoopCtl<'_, F>,
@@ -912,7 +916,7 @@ impl CrawlEngine<'_> {
     where
         F: SlotFrontier,
         S: Strategy + ?Sized,
-        C: Classifier + ?Sized,
+        X: Fetch + ?Sized,
     {
         let LoopCtl {
             mut frontier,
@@ -923,10 +927,7 @@ impl CrawlEngine<'_> {
         let ws = self.web_space();
         let gaps = self.politeness_gaps(sched);
         let slots = sched.effective_slots();
-        let sample_interval = self
-            .config
-            .sample_interval
-            .unwrap_or_else(|| (ws.num_pages() as u64 / 512).max(1));
+        let sample_interval = self.config.sample_cadence(ws.num_pages());
         let budget = self.config.max_pages.unwrap_or(u64::MAX);
         let wants = sinks.iter().fold(0u16, |m, s| m | s.interests());
 
@@ -1183,7 +1184,7 @@ impl CrawlEngine<'_> {
                     &mut st,
                     &mut frontier,
                     strategy,
-                    classifier,
+                    fetch,
                     scratch,
                     Resolution {
                         entry: f.entry,

@@ -16,10 +16,8 @@
 //! | `event-bits`          | D4   | colliding or shadowed `interest::*` bits            |
 //! | `safety-comment`      | S1   | `unsafe` without a `// SAFETY:` comment             |
 //! | `no-panic`            | P1   | `unwrap`/`expect`/panicking macros in hot paths     |
-//! | `hot-path-alloc`      | P2   | allocating calls in `lint:hot-path` marked functions|
 //! | `no-panic-transitive` | P1T  | panic sites reachable from a `lint:root(panic-free)`|
 //! | `no-alloc-transitive` | P2T  | alloc sites reachable from a `lint:root(alloc-free)`|
-//! | `deprecated-marker`   | —    | remaining lexical `lint:hot-path` markers           |
 //! | `bad-root`            | —    | a `lint:root` marker that resolves to no fn         |
 //!
 //! P1T/P2T are *call-graph-aware*: [`index`] records every fn with its
@@ -50,7 +48,10 @@
 //!
 //! ## Scope rules
 //!
-//! * `target/`, `.git/` and any `fixtures/` directory are never scanned;
+//! * `target/`, `.git/` and any `fixtures/` directory are never scanned,
+//!   nor is any subdirectory whose `Cargo.toml` declares its own
+//!   `[workspace]` — a separate workspace (the `crawlbench` harness)
+//!   follows its own rules;
 //! * test code (`tests/`/`benches/` directories, `#[cfg(test)]` /
 //!   `#[test]` items) is exempt from D1, D2, D3-call-sites and P1 —
 //!   tests may clock and panic freely; S1 and the registries apply
@@ -58,11 +59,8 @@
 //! * `crates/bench`, `crates/lint` and `examples/` may read the wall
 //!   clock (D1) — benchmarks measure real time by design;
 //! * P1 applies to the crawl/generation hot paths listed in
-//!   [`passes::p1_applies`];
-//! * P2 applies only inside functions marked with a `// lint:hot-path`
-//!   comment (the marker claims the next `fn` item through the end of
-//!   its body) — the once-per-fetch loop whose zero-allocation contract
-//!   the steady-state microbench gate enforces dynamically.
+//!   [`passes::p1_applies`]; allocation-freedom is proved only
+//!   transitively (P2T), from `lint:root(alloc-free)` entry points.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -141,8 +139,6 @@ pub fn scan_sources(sources: &[SourceFile]) -> Report {
         passes::event_bits(file, &mut raw);
         passes::safety_comment(file, &mut raw);
         passes::no_panic(file, &mut raw);
-        passes::hot_path_alloc(file, &mut raw);
-        passes::deprecated_hot_path_marker(file, &mut raw);
     }
 
     // Suppression collection + validation (before the transitive
@@ -271,6 +267,14 @@ fn bad_allow(file: &SourceFile, line: u32, why: &str) -> Finding {
     }
 }
 
+/// Does `dir` hold the root of its own cargo workspace (a `Cargo.toml`
+/// with a `[workspace]` table)? Such a tree is built, tested and linted
+/// on its own terms, so the walk leaves it out.
+fn is_separate_workspace(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|toml| toml.lines().any(|l| l.trim() == "[workspace]"))
+}
+
 /// Directory names never descended into.
 const SKIP_DIRS: &[&str] = &["target", ".git", "fixtures", "results"];
 
@@ -281,7 +285,10 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_ref()) || name.starts_with('.') {
+            if SKIP_DIRS.contains(&name.as_ref())
+                || name.starts_with('.')
+                || is_separate_workspace(&path)
+            {
                 continue;
             }
             collect_rs_files(&path, out)?;

@@ -1,6 +1,5 @@
-//! The seven lint passes: D1 wall-clock, D2 unordered-iter, D3
-//! rng-stream, D4 event-bits, S1 safety-comment, P1 no-panic, P2
-//! hot-path-alloc.
+//! The six lexical lint passes: D1 wall-clock, D2 unordered-iter, D3
+//! rng-stream, D4 event-bits, S1 safety-comment, P1 no-panic.
 //!
 //! Every pass works on the lexed token stream of one file (plus, for
 //! D3, a workspace-wide constant registry built first), so a pass can
@@ -25,17 +24,12 @@ pub const EVENT_BITS: &str = "event-bits";
 pub const SAFETY_COMMENT: &str = "safety-comment";
 /// P1 — panicking calls in the crawl/generation hot paths.
 pub const NO_PANIC: &str = "no-panic";
-/// P2 — allocating calls inside `// lint:hot-path` marked functions.
-pub const HOT_PATH_ALLOC: &str = "hot-path-alloc";
 /// P1T — a panic site transitively reachable from a
 /// `lint:root(panic-free)` function.
 pub const NO_PANIC_TRANSITIVE: &str = "no-panic-transitive";
 /// P2T — an allocation site transitively reachable from a
 /// `lint:root(alloc-free)` function.
 pub const NO_ALLOC_TRANSITIVE: &str = "no-alloc-transitive";
-/// Migration lint: the lexical `lint:hot-path` marker is superseded by
-/// `lint:root(alloc-free)` + the call-graph closure.
-pub const DEPRECATED_MARKER: &str = "deprecated-marker";
 /// Meta-lint: a malformed or unknown `lint:allow` suppression.
 pub const BAD_ALLOW: &str = "bad-allow";
 /// Meta-lint: a `lint:root(...)` marker that does not resolve to
@@ -51,20 +45,16 @@ pub const SUPPRESSIBLE: &[&str] = &[
     EVENT_BITS,
     SAFETY_COMMENT,
     NO_PANIC,
-    HOT_PATH_ALLOC,
     NO_PANIC_TRANSITIVE,
     NO_ALLOC_TRANSITIVE,
-    DEPRECATED_MARKER,
 ];
 
 /// Does a `lint:allow(<allow_id>)` suppress a finding of `lint`? The
-/// transitive passes alias their lexical ancestors so an existing
-/// `allow(no-panic)` / `allow(hot-path-alloc)` on a site keeps covering
-/// the same hazard when the closure reaches it.
+/// transitive panic pass aliases its lexical ancestor so an existing
+/// `allow(no-panic)` on a site keeps covering the same hazard when the
+/// closure reaches it.
 pub fn allow_covers(allow_id: &str, lint: &str) -> bool {
-    allow_id == lint
-        || (allow_id == NO_PANIC && lint == NO_PANIC_TRANSITIVE)
-        || (allow_id == HOT_PATH_ALLOC && lint == NO_ALLOC_TRANSITIVE)
+    allow_id == lint || (allow_id == NO_PANIC && lint == NO_PANIC_TRANSITIVE)
 }
 
 /// One lexed source file with its scan-relevant classification.
@@ -812,145 +802,6 @@ pub fn no_panic(file: &SourceFile, out: &mut Vec<Finding>) {
                 ),
             ));
         }
-    }
-}
-
-// ---------------------------------------------------------------- P2 --
-
-/// Line ranges (inclusive) of `// lint:hot-path` marked functions: each
-/// marker comment claims the next `fn` item, from the marker's own line
-/// through the brace-matched end of that function's body. Doc comments
-/// are prose and never open a region.
-fn hot_path_regions(file: &SourceFile) -> Vec<(u32, u32)> {
-    let toks = &file.lexed.tokens;
-    let mut regions = Vec::new();
-    for c in &file.lexed.comments {
-        if c.is_doc() || !c.text.contains("lint:hot-path") {
-            continue;
-        }
-        // First `fn` keyword at or below the marker.
-        let Some(fn_at) = toks
-            .iter()
-            .position(|t| t.is_ident("fn") && t.line >= c.start_line)
-        else {
-            continue;
-        };
-        // The function's opening brace; a `;` first means a bodyless
-        // declaration (trait method) — nothing to scan.
-        let mut k = fn_at + 1;
-        let mut open = None;
-        while k < toks.len() {
-            if toks[k].is_punct("{") {
-                open = Some(k);
-                break;
-            }
-            if toks[k].is_punct(";") {
-                break;
-            }
-            k += 1;
-        }
-        let Some(open) = open else {
-            continue;
-        };
-        let mut depth = 1usize;
-        let mut m = open + 1;
-        while m < toks.len() && depth > 0 {
-            if toks[m].is_punct("{") {
-                depth += 1;
-            } else if toks[m].is_punct("}") {
-                depth -= 1;
-            }
-            m += 1;
-        }
-        let end_line = toks
-            .get(m.saturating_sub(1))
-            .map_or(c.start_line, |t| t.line);
-        regions.push((c.start_line, end_line));
-    }
-    regions
-}
-
-/// P2: no allocating constructor calls — `Vec::new()`, `Box::new(...)`,
-/// `.collect()` — inside a `// lint:hot-path` marked function. Marked
-/// code is the once-per-fetch crawl path whose zero-allocation contract
-/// the steady-state microbench gate enforces dynamically; this pass
-/// rejects the obvious regressions statically. Reuse the run's scratch
-/// buffers, or justify with `lint:allow(hot-path-alloc)`.
-pub fn hot_path_alloc(file: &SourceFile, out: &mut Vec<Finding>) {
-    if file.is_test_file {
-        return;
-    }
-    let regions = hot_path_regions(file);
-    if regions.is_empty() {
-        return;
-    }
-    let toks = &file.lexed.tokens;
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident
-            || !regions.iter().any(|&(lo, hi)| lo <= t.line && t.line <= hi)
-            || file.in_test(t.line)
-        {
-            continue;
-        }
-        let assoc_new = |ty: &str| {
-            t.text == ty
-                && toks.get(i + 1).is_some_and(|p| p.is_punct("::"))
-                && toks.get(i + 2).is_some_and(|n| n.is_ident("new"))
-                && toks.get(i + 3).is_some_and(|p| p.is_punct("("))
-        };
-        let offender = if assoc_new("Vec") {
-            Some("Vec::new()")
-        } else if assoc_new("Box") {
-            Some("Box::new()")
-        } else if t.text == "collect"
-            && i >= 1
-            && toks[i - 1].is_punct(".")
-            && toks
-                .get(i + 1)
-                .is_some_and(|p| p.is_punct("(") || p.is_punct("::"))
-        {
-            Some(".collect()")
-        } else {
-            None
-        };
-        if let Some(what) = offender {
-            out.push(file.finding(
-                HOT_PATH_ALLOC,
-                t,
-                format!(
-                    "`{what}` inside a `lint:hot-path` region ({}) — reuse a scratch \
-                     buffer or justify with lint:allow(hot-path-alloc)",
-                    file.rel
-                ),
-            ));
-        }
-    }
-}
-
-/// Migration lint: flag every remaining non-test `// lint:hot-path`
-/// marker. The lexical marker only protected one function body; the
-/// call-graph closure (`lint:root(alloc-free)`) supersedes it. The
-/// marker still *works* (P2 scans it) so migration can be gradual —
-/// each remaining use costs one suppressible finding.
-pub fn deprecated_hot_path_marker(file: &SourceFile, out: &mut Vec<Finding>) {
-    if file.is_test_file {
-        return;
-    }
-    for c in &file.lexed.comments {
-        if c.is_doc() || !c.text.contains("lint:hot-path") || file.in_test(c.start_line) {
-            continue;
-        }
-        out.push(Finding {
-            lint: DEPRECATED_MARKER,
-            path: file.rel.clone(),
-            line: c.start_line,
-            col: 1,
-            message: "`lint:hot-path` is deprecated — declare `// lint:root(alloc-free)` \
-                      on the entry point instead; the call-graph closure then covers \
-                      every helper the lexical marker missed"
-                .to_string(),
-        });
     }
 }
 

@@ -37,7 +37,6 @@ const STREAM_FAULT_DRAW: u64 = 5 << 40;
 
 /// Knobs of the fault model. All-zero (the default) disables it.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultConfig {
     /// Per-attempt probability that a fetch from a *healthy* host fails
     /// transiently (timeout, 503, connection reset).

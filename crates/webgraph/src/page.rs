@@ -12,7 +12,6 @@ pub type PageId = u32;
 /// distinguishes. The paper's Table 3 counts "pages with OK status (200)"
 /// separately from the rest of the URL population.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum HttpStatus {
     /// 200 OK.
     Ok,
@@ -53,7 +52,6 @@ impl HttpStatus {
 
 /// What kind of resource a URL turned out to be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PageKind {
     /// An OK HTML page — the only kind with outlinks and a language.
     Html,
@@ -69,7 +67,6 @@ pub enum PageKind {
 /// Field order and types are chosen for density: the page table is the
 /// second-largest allocation after the edge array.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PageMeta {
     /// Host this page lives on (index into the host table).
     pub host: u32,
@@ -111,7 +108,6 @@ impl PageMeta {
 
 /// Per-host record.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HostMeta {
     /// Host name (`www.foo.ac.th`).
     pub name: String,
