@@ -1,12 +1,12 @@
 //! Self-contained microbenches for the hot paths of the stack: URL
-//! queue operations, charset detection, HTML link extraction, web-space
-//! generation (sequential and parallel), end-to-end simulator
-//! throughput — and the cost of the event-sink seam the layered engine
-//! introduced.
+//! queue operations, charset detection, parallel web-space generation,
+//! end-to-end simulator throughput — and the cost of the event-sink
+//! seam the layered engine introduced. Per-layer HTML, URL and
+//! generation timings come from crawlbench's traced run instead.
 //!
 //! These are the numbers that justify the perf-relevant design choices
-//! in DESIGN.md (bucketed queue, CSR graph, byte-level HTML scanning,
-//! monomorphic engine loop, per-host-stream parallel generation). No
+//! in DESIGN.md (bucketed queue, CSR graph, monomorphic engine loop,
+//! per-host-stream parallel generation). No
 //! external harness: each bench warms up, runs until a fixed time
 //! budget, and reports min/median wall time. `LANGCRAWL_SCALE` sets the
 //! space size for the simulator benches (default 50k here; the
@@ -37,8 +37,6 @@ use langcrawl_core::strategy::{
     LimitedDistanceStrategy, OnlinePageRank, PageView, SimpleStrategy, Strategy,
 };
 use langcrawl_core::{CrawlEngine, EngineConfig, LinkGraph};
-use langcrawl_html::{extract_links, extract_meta_charset};
-use langcrawl_url::{normalize, resolve, Url};
 use langcrawl_webgraph::generate::generate_with_threads;
 use langcrawl_webgraph::parallel::effective_threads;
 use langcrawl_webgraph::{FaultConfig, GeneratorConfig, PageId};
@@ -456,55 +454,6 @@ fn bench_detect(rec: &mut BenchRecord) {
         Some((long.len() as f64, "B")),
         || detect(black_box(&long)).charset,
     );
-}
-
-fn bench_html() {
-    println!("html:");
-    let mut page = String::from(
-        r#"<html><head><meta http-equiv="content-type" content="text/html; charset=tis-620"><title>x</title></head><body>"#,
-    );
-    for i in 0..200 {
-        page.push_str(&format!(
-            r#"<p>lorem ipsum dolor sit amet</p><a href="/dir{}/page{}.html">link</a>"#,
-            i % 17,
-            i
-        ));
-    }
-    page.push_str("</body></html>");
-    let bytes = page.into_bytes();
-    let base = Url::parse("http://www.example.co.th/index.html").unwrap();
-    bench("extract_links_200", Some((bytes.len() as f64, "B")), || {
-        extract_links(black_box(&bytes), &base).len()
-    });
-    bench("extract_meta", Some((bytes.len() as f64, "B")), || {
-        extract_meta_charset(black_box(&bytes))
-    });
-}
-
-fn bench_url() {
-    println!("url:");
-    let base = Url::parse("http://www.example.ac.th/a/b/c.html").unwrap();
-    bench("resolve_relative", None, || {
-        resolve(&base, black_box("../img/x/../y.gif"))
-    });
-    let u = Url::parse("HTTP://Example.AC.TH:80/a/./b/%7Euser/index.html?x=1").unwrap();
-    bench("normalize", None, || normalize(black_box(&u)));
-}
-
-fn bench_generate() {
-    println!("webgraph_generate:");
-    for scale in [10_000u32, 50_000] {
-        bench(
-            &format!("thai_like_{scale}"),
-            Some((scale as f64, "URLs")),
-            || {
-                GeneratorConfig::thai_like()
-                    .scaled(scale)
-                    .build(7)
-                    .num_edges()
-            },
-        );
-    }
 }
 
 /// Parallel generation: 1 thread vs all available, on the 200k figure
@@ -1268,10 +1217,6 @@ fn main() {
     mark("batch_admit", &mut marks);
     bench_detect(&mut rec);
     mark("detect", &mut marks);
-    bench_html();
-    bench_url();
-    mark("html+url", &mut marks);
-    bench_generate();
     bench_generate_parallel(&mut rec);
     mark("generate", &mut marks);
     bench_simulate(&mut rec, scale);

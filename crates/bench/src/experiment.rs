@@ -1,4 +1,4 @@
-//! The shared experiment descriptor every figure binary shrinks onto.
+//! The shared experiment descriptor every figure harness shrinks onto.
 //!
 //! Each harness used to hand-roll the same sequence: read
 //! `LANGCRAWL_SCALE`/`LANGCRAWL_SEED`, print a banner, build the preset
@@ -153,7 +153,7 @@ impl Experiment {
     /// Run the strategy set on an already-built space (for harnesses
     /// that sweep generator knobs and build their spaces themselves).
     /// `LANGCRAWL_SNAPSHOT_EVERY` supplies a snapshot cadence for
-    /// experiments that didn't set one — any figure binary becomes
+    /// experiments that didn't set one — any figure harness becomes
     /// checkpointable from the environment alone (paired with
     /// `LANGCRAWL_SNAPSHOT_DIR` for the output directory).
     pub fn run_on(&self, ws: &WebSpace) -> Vec<CrawlReport> {
@@ -172,7 +172,7 @@ impl Experiment {
 }
 
 /// A completed experiment: the space it ran on and one report per
-/// strategy, plus the panel/output helpers the figure binaries share.
+/// strategy, plus the panel/output helpers the figure harnesses share.
 #[derive(Debug)]
 pub struct ExperimentRun {
     /// The web space all strategies crawled (shared via the space

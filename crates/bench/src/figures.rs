@@ -2,7 +2,7 @@
 //! [`crate::experiment::ExperimentRun`].
 //!
 //! Every shape check routed through [`ok`] is tallied in thread-local
-//! counters so an in-process driver (the `repro_all` dashboard) can run
+//! counters so an in-process runner (the `repro` dashboard) can run
 //! a harness, then read back how many checks ran and how many failed
 //! without scraping stdout.
 

@@ -1,5 +1,5 @@
 //! Gnuplot script emission — the paper's figures were gnuplot plots;
-//! every figure binary leaves a ready-to-run `.gp` script next to its
+//! every figure harness leaves a ready-to-run `.gp` script next to its
 //! CSVs so `gnuplot results/fig3_harvest.gp` regenerates the figure as
 //! the paper drew it.
 

@@ -31,7 +31,7 @@ fn hard_crawl() -> Experiment {
     .strategy("hard", |_| Box::new(SimpleStrategy::hard()))
 }
 
-/// Run this harness (the body of the `ablation_classifier` binary).
+/// Run this harness (`repro ablation_classifier`).
 pub fn run() {
     let scale = runner::env_scale(25_000); // detector path scans real bytes
     let seed = runner::env_seed();

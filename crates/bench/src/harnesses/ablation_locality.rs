@@ -14,7 +14,7 @@ use langcrawl_core::sim::SimConfig;
 use langcrawl_core::strategy::{BreadthFirst, SimpleStrategy};
 use langcrawl_webgraph::GeneratorConfig;
 
-/// Run this harness (the body of the `ablation_locality` binary).
+/// Run this harness (`repro ablation_locality`).
 pub fn run() {
     let scale = runner::env_scale(80_000);
     let seed = runner::env_seed();

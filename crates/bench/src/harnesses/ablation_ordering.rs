@@ -15,7 +15,7 @@ use langcrawl_core::sim::SimConfig;
 use langcrawl_core::strategy::{BacklinkCount, BreadthFirst, OnlinePageRank, SimpleStrategy};
 use langcrawl_webgraph::GeneratorConfig;
 
-/// Run this harness (the body of the `ablation_ordering` binary).
+/// Run this harness (`repro ablation_ordering`).
 pub fn run() {
     let run = Experiment::new(
         "ordering",

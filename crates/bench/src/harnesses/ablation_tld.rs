@@ -20,7 +20,7 @@ use langcrawl_core::sim::SimConfig;
 use langcrawl_core::strategy::{LimitedDistanceStrategy, SimpleStrategy, TldScopeStrategy};
 use langcrawl_webgraph::GeneratorConfig;
 
-/// Run this harness (the body of the `ablation_tld` binary).
+/// Run this harness (`repro ablation_tld`).
 pub fn run() {
     let run = Experiment::new(
         "tld",

@@ -23,7 +23,7 @@ use langcrawl_core::sim::SimConfig;
 use langcrawl_core::strategy::{BreadthFirst, CombinedStrategy};
 use langcrawl_webgraph::{GeneratorConfig, WebSpace};
 
-/// Run this harness (the body of the `dataset_collection` binary).
+/// Run this harness (`repro dataset_collection`).
 pub fn run() {
     // The "real web" around the target language: low specificity. Visit
     // recording is on so each snapshot can be re-judged page by page.

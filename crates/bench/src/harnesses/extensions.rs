@@ -17,7 +17,7 @@ use langcrawl_core::strategy::{
 };
 use langcrawl_webgraph::GeneratorConfig;
 
-/// Run this harness (the body of the `extensions` binary).
+/// Run this harness (`repro extensions`).
 pub fn run() {
     let run = Experiment::new(
         "ext",

@@ -42,7 +42,7 @@ fn experiment(fault: FaultConfig) -> Experiment {
     .strategy("hard", |_| Box::new(SimpleStrategy::hard()))
 }
 
-/// Run this harness (the body of the `fault_sensitivity` binary).
+/// Run this harness (`repro fault_sensitivity`).
 pub fn run() {
     let scale = runner::env_scale(40_000);
     let seed = runner::env_seed();

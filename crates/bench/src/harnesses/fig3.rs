@@ -17,7 +17,7 @@ use langcrawl_core::sim::SimConfig;
 use langcrawl_core::strategy::{BreadthFirst, SimpleStrategy};
 use langcrawl_webgraph::GeneratorConfig;
 
-/// Run this harness (the body of the `fig3` binary).
+/// Run this harness (`repro fig3`).
 pub fn run() {
     let run = Experiment::new(
         "fig3",

@@ -20,7 +20,7 @@ use langcrawl_core::sim::SimConfig;
 use langcrawl_core::strategy::{BreadthFirst, SimpleStrategy};
 use langcrawl_webgraph::GeneratorConfig;
 
-/// Run this harness (the body of the `fig4` binary).
+/// Run this harness (`repro fig4`).
 pub fn run() {
     let run = Experiment::new(
         "fig4",

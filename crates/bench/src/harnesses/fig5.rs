@@ -13,7 +13,7 @@ use crate::Experiment;
 use langcrawl_core::strategy::SimpleStrategy;
 use langcrawl_webgraph::GeneratorConfig;
 
-/// Run this harness (the body of the `fig5` binary).
+/// Run this harness (`repro fig5`).
 pub fn run() {
     let run = Experiment::new(
         "fig5",

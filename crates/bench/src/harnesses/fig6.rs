@@ -10,7 +10,7 @@ use crate::Experiment;
 use langcrawl_core::strategy::LimitedDistanceStrategy;
 use langcrawl_webgraph::GeneratorConfig;
 
-/// Run this harness (the body of the `fig6` binary).
+/// Run this harness (`repro fig6`).
 pub fn run() {
     let mut e = Experiment::new(
         "fig6",

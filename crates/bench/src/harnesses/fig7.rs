@@ -12,7 +12,7 @@ use crate::Experiment;
 use langcrawl_core::strategy::LimitedDistanceStrategy;
 use langcrawl_webgraph::GeneratorConfig;
 
-/// Run this harness (the body of the `fig7` binary).
+/// Run this harness (`repro fig7`).
 pub fn run() {
     let mut e = Experiment::new(
         "fig7",

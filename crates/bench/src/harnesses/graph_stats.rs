@@ -7,7 +7,7 @@ use crate::runner;
 use langcrawl_webgraph::analysis::{host_size_histogram, link_stats, out_degree_histogram};
 use langcrawl_webgraph::{DatasetStats, GeneratorConfig};
 
-/// Run this harness (the body of the `graph_stats` binary).
+/// Run this harness (`repro graph_stats`).
 pub fn run() {
     let seed = runner::env_seed();
     for (name, cfg) in [

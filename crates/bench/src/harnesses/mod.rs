@@ -1,8 +1,8 @@
-//! Reproduction harnesses — the bodies of every `src/bin` entry point
-//! except `repro_all`, exposed as library functions so the full
-//! reproduction can run in-process (one `SpaceCache`, one process,
-//! no per-figure subprocess spawn). Each module has a `run()` that is
-//! exactly what its thin binary stub calls.
+//! Reproduction harnesses — one module per paper table, figure,
+//! ablation and extension, each with a `run()` entry point. The `repro`
+//! binary dispatches over [`ALL`] by name, so the full reproduction
+//! runs in-process (one `SpaceCache`, one process, no per-figure
+//! subprocess spawn).
 
 pub mod ablation_classifier;
 pub mod ablation_locality;

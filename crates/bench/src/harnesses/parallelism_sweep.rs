@@ -58,7 +58,7 @@ fn imbalance(shards: &[ShardStats]) -> f64 {
     max / mean
 }
 
-/// Run this harness (the body of the `parallelism_sweep` binary).
+/// Run this harness (`repro parallelism_sweep`).
 pub fn run() {
     let scale = runner::env_scale(40_000);
     let seed = runner::env_seed();

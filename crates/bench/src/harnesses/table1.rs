@@ -8,7 +8,7 @@ use langcrawl_charset::encode::{
 };
 use langcrawl_charset::{charset_from_label, detect, Charset, Language};
 
-/// Run this harness (the body of the `table1` binary).
+/// Run this harness (`repro table1`).
 pub fn run() {
     println!("== Table 1: Languages and their corresponding character encoding schemes ==\n");
     println!(

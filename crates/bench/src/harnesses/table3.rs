@@ -9,7 +9,7 @@ use langcrawl_webgraph::stats::{
 };
 use langcrawl_webgraph::{DatasetStats, GeneratorConfig};
 
-/// Run this harness (the body of the `table3` binary).
+/// Run this harness (`repro table3`).
 pub fn run() {
     let seed = runner::env_seed();
     let thai = GeneratorConfig::thai_like().scaled(runner::env_scale(200_000));

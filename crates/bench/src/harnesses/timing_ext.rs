@@ -17,7 +17,7 @@ use langcrawl_core::strategy::{BreadthFirst, SimpleStrategy};
 use langcrawl_core::timing::{run_timed, TimingConfig};
 use langcrawl_webgraph::GeneratorConfig;
 
-/// Run this harness (the body of the `timing_ext` binary).
+/// Run this harness (`repro timing_ext`).
 pub fn run() {
     let scale = runner::env_scale(40_000);
     let seed = runner::env_seed();

@@ -12,7 +12,7 @@ use langcrawl_core::sim::SimConfig;
 use langcrawl_core::strategy::{BreadthFirst, SimpleStrategy};
 use langcrawl_webgraph::GeneratorConfig;
 
-/// Run this harness (the body of the `wider_languages` binary).
+/// Run this harness (`repro wider_languages`).
 pub fn run() {
     let scale = runner::env_scale(60_000);
     let seed = runner::env_seed();

@@ -1,13 +1,14 @@
 //! # langcrawl-bench — experiment harness
 //!
-//! Shared machinery for the binaries that regenerate every table and
-//! figure of the paper (see DESIGN.md §4 for the experiment index) and
-//! for the self-contained microbenches.
+//! Shared machinery for the harnesses that regenerate every table and
+//! figure of the paper (see DESIGN.md §4 for the experiment index), run
+//! by the `repro` binary, and for the self-contained microbenches.
 //!
-//! Each figure binary declares an [`experiment::Experiment`] — preset +
+//! Each figure harness declares an [`experiment::Experiment`] — preset +
 //! scale + seed + strategy set + classifier + output prefix — and:
 //! 1. builds the preset web space (size overridable with
-//!    `LANGCRAWL_SCALE=<urls>`; seed with `LANGCRAWL_SEED=<u64>`),
+//!    `LANGCRAWL_SCALE=<urls>`; seed with `LANGCRAWL_SEED=<u64>`; a set
+//!    value that does not parse is rejected, not replaced by the default),
 //! 2. runs the paper's strategies (in parallel, one thread each — the
 //!    web space is immutable and shared),
 //! 3. prints the paper's series as aligned tables plus an ASCII plot,

@@ -14,20 +14,34 @@ use std::path::PathBuf;
 pub type StrategyFactory<'a> = Box<dyn Fn(&WebSpace) -> Box<dyn Strategy> + Sync + 'a>;
 
 /// Read the experiment scale from `LANGCRAWL_SCALE`, defaulting to the
-/// preset's own size when unset or unparsable.
+/// preset's own size when unset.
+///
+/// Panics, naming the variable and its value, when it is set to
+/// anything but a positive page count.
 pub fn env_scale(default: u32) -> u32 {
-    std::env::var("LANGCRAWL_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    env_knob("LANGCRAWL_SCALE", "a positive page count", |v| {
+        v.parse().ok().filter(|&n| n > 0)
+    })
+    .unwrap_or(default)
 }
 
 /// Read the generator seed from `LANGCRAWL_SEED` (default 42).
+///
+/// Panics, naming the variable and its value, when it is set to
+/// anything but a `u64`.
 pub fn env_seed() -> u64 {
-    std::env::var("LANGCRAWL_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42)
+    env_knob("LANGCRAWL_SEED", "a u64 seed", |v| v.parse().ok()).unwrap_or(42)
+}
+
+/// `None` when `name` is unset; its parsed value when `parse` accepts
+/// it; a panic naming the variable, its value and `expected` otherwise.
+fn env_knob<T>(name: &str, expected: &str, parse: impl FnOnce(&str) -> Option<T>) -> Option<T> {
+    let raw = std::env::var_os(name)?;
+    let value = raw.to_string_lossy();
+    match parse(&value) {
+        Some(parsed) => Some(parsed),
+        None => panic!("{name}={value:?} is not {expected}"),
+    }
 }
 
 /// The default figure-run scale (URLs) when the preset doesn't override.
@@ -108,7 +122,7 @@ pub fn run_parallel(
 
 /// The directory experiment artifacts (CSVs, gnuplot scripts) go to:
 /// `LANGCRAWL_RESULTS_DIR` when set, else `results/` relative to the
-/// cwd. The override is what lets figure binaries run from any working
+/// cwd. The override is what lets `repro` run from any working
 /// directory (e.g. invoked by CI or an editor task from the repo root).
 pub fn results_dir() -> PathBuf {
     std::env::var_os("LANGCRAWL_RESULTS_DIR")
@@ -128,7 +142,7 @@ pub fn write_csv(report: &CrawlReport, name: &str) -> io::Result<PathBuf> {
 }
 
 /// Write a report's CSV and print where it went — or why it didn't.
-/// Figure binaries treat output as best-effort (a read-only checkout
+/// Figure harnesses treat output as best-effort (a read-only checkout
 /// still prints its tables) but the failure is always reported.
 pub fn write_csv_reporting(report: &CrawlReport, name: &str) {
     match write_csv(report, name) {

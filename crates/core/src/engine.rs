@@ -273,6 +273,8 @@ impl<'a> CrawlEngine<'a> {
     /// generic over the [`Fetch`] seam. The scheduler's degenerate point
     /// (one slot, zero politeness) runs here too: it is the `K = 1` fast
     /// path.
+    // lint:root(panic-free) — the steady-state loop of every default
+    // `K = 1` simulator run, metadata and content mode alike.
     pub(crate) fn legacy_loop<F, S, X>(
         &self,
         mut frontier: F,
@@ -377,6 +379,7 @@ impl<'a> CrawlEngine<'a> {
                     let a = if scratch.attempt_counts.is_empty() {
                         1
                     } else {
+                        // lint:allow(no-panic-transitive): the attempt table materializes with one slot per page of the space; every frontier entry is a page of that space
                         scratch.attempt_counts[p as usize] + 1
                     };
                     if a > 1 {

@@ -713,10 +713,14 @@ impl SnapshotSink for SnapshotLog {
 }
 
 /// A [`SnapshotSink`] writing each snapshot to
-/// `<dir>/<prefix>-t<tick>.snap`. I/O failures never panic and never
-/// abort the crawl: the first error is recorded (and noted once on
-/// stderr, best-effort), subsequent writes are skipped, and the caller
-/// collects the error through [`DirSink::take_error`] after the run.
+/// `<dir>/<prefix>-t<tick>.snap`. Each file is written under a
+/// temporary name in the same directory, synced, then renamed into
+/// place, so a crash never leaves a torn file under a real `.snap`
+/// name. I/O failures never panic and never abort the crawl: the first
+/// error is recorded (and noted once on stderr, best-effort), the
+/// temporary file is removed, subsequent writes are skipped, and the
+/// caller collects the error through [`DirSink::take_error`] after the
+/// run.
 #[derive(Debug)]
 pub struct DirSink {
     dir: PathBuf,
@@ -754,11 +758,19 @@ impl SnapshotSink for DirSink {
         if self.error.is_some() {
             return;
         }
-        let path = self.dir.join(format!("{}-t{tick:020}.snap", self.prefix));
-        let wrote = std::fs::create_dir_all(&self.dir).and_then(|()| std::fs::write(&path, bytes));
+        let name = format!("{}-t{tick:020}.snap", self.prefix);
+        let path = self.dir.join(&name);
+        let tmp = self.dir.join(format!(".{name}.tmp"));
+        let wrote = std::fs::create_dir_all(&self.dir).and_then(|()| {
+            let mut file = std::fs::File::create(&tmp)?;
+            file.write_all(bytes)?;
+            file.sync_all()?;
+            std::fs::rename(&tmp, &path)
+        });
         match wrote {
             Ok(()) => self.written += 1,
             Err(e) => {
+                let _ = std::fs::remove_file(&tmp);
                 // Best-effort note; a dead stderr must not panic the run.
                 let _ = writeln!(
                     std::io::stderr(),
@@ -1004,19 +1016,44 @@ mod tests {
         .contains("0000000000000001"));
     }
 
+    /// The sorted file names in `dir`.
+    fn entries(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
     fn dir_sink_writes_framed_files_and_reports_errors() {
         let dir = std::env::temp_dir().join(format!("langcrawl-snap-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut sink = DirSink::new(&dir, "t");
         let bytes = sample().to_bytes();
+        let name = |tick: u64| format!("t-t{tick:020}.snap");
         sink.on_snapshot(42, &bytes);
         assert_eq!(sink.written(), 1);
         assert!(sink.take_error().is_none());
-        let path = dir.join(format!("t-t{:020}.snap", 42));
-        let back = std::fs::read(&path).unwrap();
+        let back = std::fs::read(dir.join(name(42))).unwrap();
         assert_eq!(back, bytes);
         assert_eq!(CrawlSnapshot::from_bytes(&back).unwrap(), sample());
+        assert_eq!(entries(&dir), [name(42)], "no temp file survives");
+
+        // A directory squatting on the final name: the temp file is
+        // written but the rename fails, so the error is captured and
+        // the temp file is removed.
+        std::fs::create_dir_all(dir.join(name(43)).join("occupied")).unwrap();
+        let mut blocked = DirSink::new(&dir, "t");
+        blocked.on_snapshot(43, &bytes);
+        assert_eq!(blocked.written(), 0);
+        assert!(blocked.take_error().is_some());
+        assert_eq!(
+            entries(&dir),
+            [name(42), name(43)],
+            "the failed write's temp file is removed"
+        );
         let _ = std::fs::remove_dir_all(&dir);
 
         // A file where the directory should be: writes fail, the error

@@ -338,14 +338,16 @@ fn simulator_env_wiring_writes_resumable_files() {
     let mut files: Vec<_> = std::fs::read_dir(&dir)
         .expect("snapshot dir must exist")
         .map(|e| e.expect("dir entry").path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("crawl-") && n.ends_with(".snap"))
-        })
         .collect();
     files.sort();
     assert!(!files.is_empty(), "no snapshot files written to {dir:?}");
+    for p in &files {
+        let name = p.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+        assert!(
+            name.starts_with("crawl-") && name.ends_with(".snap"),
+            "only finished snapshots may remain, found {name:?}"
+        );
+    }
     let bytes = std::fs::read(&files[files.len() / 2]).expect("snapshot file must read");
     let snap = CrawlSnapshot::from_bytes(&bytes).expect("written snapshot must parse");
     snap.verify_space(&ws).expect("fingerprint must match");

@@ -46,6 +46,7 @@ fn graph_output_is_byte_identical_across_runs_and_thread_counts() {
     // The graph actually covers the hot path: every root fn appears.
     let dot = String::from_utf8(dot.clone()).expect("dot is UTF-8");
     for root_fn in [
+        "CrawlEngine::legacy_loop",
         "CrawlEngine::sched_loop",
         "CrawlEngine::resolve",
         "UrlQueue::push_all",

@@ -1,7 +1,7 @@
 //! A process-wide cache of generated web spaces.
 //!
 //! Generation dominates the wall time of every figure harness, and
-//! `repro_all` runs seventeen of them in one process — most against the
+//! `repro` runs all of them in one process — most against the
 //! *same* `(config, seed)` spaces. A [`WebSpace`] is immutable after
 //! construction, so sharing is free: the cache hands out `Arc` clones
 //! and builds each distinct space exactly once per process.
