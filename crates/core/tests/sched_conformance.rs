@@ -11,7 +11,11 @@
 //!    counters, visit order — shows up as a hash mismatch here.
 //! 2. Multi-slot runs (`K ∈ {2, 8}`) get their own golden hashes: the
 //!    schedule is a pure function of (space seed, config), so these pin
-//!    the scheduler's tie-break discipline across time.
+//!    the scheduler's tie-break discipline across time. Politeness
+//!    schedules (`K = 4` gap 2±1, `K = 16` gap 6±2, and `K = 8` gap 2±1
+//!    over a 10% fault rate) are pinned the same way, their hashes
+//!    extended with the makespan, the retry counters, every
+//!    `SchedStatsSink` counter and the per-shard load counters.
 //! 3. The same hashes are asserted under different `LANGCRAWL_THREADS`
 //!    settings (which parallelize space *generation*): the constants
 //!    are absolute, so running this binary under any thread count — as
@@ -19,11 +23,15 @@
 //!    sweep below re-generates the space under several settings for
 //!    good measure.
 
-use langcrawl_core::classifier::{MetaClassifier, OracleClassifier};
-use langcrawl_core::metrics::CrawlReport;
+use langcrawl_core::classifier::{Classifier, MetaClassifier, OracleClassifier};
+use langcrawl_core::engine::{CrawlEngine, EngineConfig, EngineOutcome, EngineScratch};
+use langcrawl_core::event::{EventSink, MetricsSampler, SchedStatsSink, VisitRecorder};
+use langcrawl_core::metrics::{CrawlReport, Sample};
+use langcrawl_core::sched::SchedConfig;
+use langcrawl_core::shard::ShardStats;
 use langcrawl_core::sim::{SimConfig, Simulator};
-use langcrawl_core::strategy::{BreadthFirst, LimitedDistanceStrategy, SimpleStrategy};
-use langcrawl_webgraph::GeneratorConfig;
+use langcrawl_core::strategy::{BreadthFirst, LimitedDistanceStrategy, SimpleStrategy, Strategy};
+use langcrawl_webgraph::{FaultConfig, GeneratorConfig};
 
 /// FNV-1a over the pre-fault-model report fields — byte-for-byte the
 /// same folding as `fault_conformance::report_hash`, so hashes are
@@ -247,4 +255,194 @@ fn schedules_are_invariant_across_thread_settings() {
         }
     }
     std::env::remove_var("LANGCRAWL_THREADS");
+}
+
+/// FNV-1a over a politeness-schedule run: the same report fields as
+/// [`report_hash`] (built from the engine outcome and the sampler and
+/// visit sinks, since `CrawlReport` hides its constructor), then the
+/// makespan, the retry counters, every [`SchedStatsSink`] counter and
+/// the per-shard load counters — the whole observable schedule.
+fn schedule_hash(
+    name: &str,
+    outcome: &EngineOutcome,
+    samples: &[Sample],
+    visited: &[u32],
+    total_relevant: u64,
+    stats: &SchedStatsSink,
+    shards: &[ShardStats],
+) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in name.as_bytes() {
+        h = (h ^ b as u64).wrapping_mul(PRIME);
+    }
+    let mut fold = |x: u64| {
+        for b in x.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(PRIME);
+        }
+    };
+    fold(samples.len() as u64);
+    for s in samples {
+        fold(s.crawled);
+        fold(s.relevant);
+        fold(s.queue_size as u64);
+    }
+    fold(outcome.crawled);
+    fold(outcome.relevant_crawled);
+    fold(total_relevant);
+    fold(outcome.max_pending as u64);
+    fold(outcome.total_pushes);
+    fold(visited.len() as u64);
+    for &v in visited {
+        fold(v as u64);
+    }
+    fold(outcome.ticks);
+    fold(outcome.attempts);
+    fold(outcome.retries);
+    fold(outcome.gave_up);
+    fold(stats.idle_slot_ticks);
+    fold(stats.idle_events);
+    fold(stats.politeness_waits);
+    fold(stats.handoff_events);
+    fold(stats.crossed_links);
+    fold(shards.len() as u64);
+    for s in shards {
+        fold(s.pushes);
+        fold(s.pops);
+        fold(s.handoffs_in);
+    }
+    h
+}
+
+/// The three pinned strategy/classifier pairs under an arbitrary
+/// schedule (politeness, faults), hashed with [`schedule_hash`].
+fn politeness_runs(
+    ws: &langcrawl_webgraph::WebSpace,
+    sched: SchedConfig,
+    fault: FaultConfig,
+) -> Vec<(&'static str, u64)> {
+    let faulty = fault.transient_rate > 0.0;
+    let engine = CrawlEngine::new(
+        ws,
+        EngineConfig {
+            fault,
+            ..EngineConfig::default()
+        },
+    );
+    let lang = ws.target_language();
+    let mut out = Vec::new();
+    let runs: [(&'static str, Box<dyn Strategy>, Box<dyn Classifier>); 3] = [
+        (
+            "breadth_first/oracle",
+            Box::new(BreadthFirst::new()),
+            Box::new(OracleClassifier::target(lang)),
+        ),
+        (
+            "soft_focused/meta",
+            Box::new(SimpleStrategy::soft()),
+            Box::new(MetaClassifier::target(lang)),
+        ),
+        (
+            "limited_distance_3/oracle",
+            Box::new(LimitedDistanceStrategy::prioritized(3)),
+            Box::new(OracleClassifier::target(lang)),
+        ),
+    ];
+    for (name, mut strategy, classifier) in runs {
+        let mut metrics = MetricsSampler::new();
+        let mut visits = VisitRecorder::new();
+        let mut stats = SchedStatsSink::new();
+        let mut scratch = EngineScratch::new();
+        let (outcome, shards) = {
+            let mut sinks: [&mut dyn EventSink; 3] = [&mut metrics, &mut visits, &mut stats];
+            engine.run_scheduled_full(
+                &sched,
+                strategy.as_mut(),
+                classifier.as_ref(),
+                &mut sinks,
+                &mut scratch,
+            )
+        };
+        // The cells must exercise what they pin.
+        assert!(stats.politeness_waits > 0, "{name}: no politeness wait");
+        assert!(!faulty || outcome.retries > 0, "{name}: no retry");
+        let h = schedule_hash(
+            name,
+            &outcome,
+            &metrics.into_samples(),
+            &visits.into_visited(),
+            ws.total_relevant() as u64,
+            &stats,
+            &shards,
+        );
+        out.push((name, h));
+    }
+    out
+}
+
+fn polite(slots: u32, gap: u64, spread: u64) -> SchedConfig {
+    SchedConfig {
+        slots,
+        shards: 0,
+        politeness_gap: gap,
+        politeness_spread: spread,
+    }
+}
+
+// Politeness-schedule goldens, captured before the sharded frontier's
+// ring-backed rewrite: cool-down order, politeness waits, idle slot
+// ticks and shard accounting are pinned here, not only by the
+// zero-politeness goldens above. Regenerate only for a deliberate,
+// documented schedule change; on mismatch the test prints the observed
+// values.
+const GOLDEN_K4_GAP2: [u64; 3] = [
+    0x15d6_4b1d_a270_2294, // breadth_first/oracle
+    0xe17f_62b8_c721_b312, // soft_focused/meta
+    0xabca_652a_60c8_cd20, // limited_distance_3/oracle
+];
+const GOLDEN_K16_GAP6: [u64; 3] = [
+    0x373f_f177_95d6_cb2c, // breadth_first/oracle
+    0xe81e_3842_46d2_76b6, // soft_focused/meta
+    0xc70f_3d57_3f5d_7552, // limited_distance_3/oracle
+];
+const GOLDEN_K8_GAP2_FAULTS: [u64; 3] = [
+    0xe068_4fde_b1cc_70bd, // breadth_first/oracle
+    0x4c77_ed61_30c5_c7d0, // soft_focused/meta
+    0x4653_e558_f1e6_b25f, // limited_distance_3/oracle
+];
+
+#[test]
+fn politeness_schedules_match_their_goldens() {
+    let ws = space();
+    let cells = [
+        (
+            "K=4 gap 2±1",
+            polite(4, 2, 1),
+            FaultConfig::default(),
+            GOLDEN_K4_GAP2,
+        ),
+        (
+            "K=16 gap 6±2",
+            polite(16, 6, 2),
+            FaultConfig::default(),
+            GOLDEN_K16_GAP6,
+        ),
+        (
+            "K=8 gap 2±1 faults 0.1",
+            polite(8, 2, 1),
+            FaultConfig::with_rate(0.1),
+            GOLDEN_K8_GAP2_FAULTS,
+        ),
+    ];
+    let mut bad = Vec::new();
+    for (cell, sched, fault, goldens) in cells {
+        for ((name, got), golden) in politeness_runs(&ws, sched, fault).into_iter().zip(goldens) {
+            if got != golden {
+                bad.push(format!(
+                    "{name} {cell}: hash {got:#018x} != golden {golden:#018x}"
+                ));
+            }
+        }
+    }
+    assert!(bad.is_empty(), "{}", bad.join("\n"));
 }
