@@ -369,8 +369,8 @@ fn bench_queue(rec: &mut BenchRecord) {
 
 /// Batched admission through [`ShardedFrontier::push_all`] — the shape
 /// of the engine's hot admission path after the zero-allocation
-/// rewrite: outlinks arrive as one batch per fetch, and the frontier
-/// defers its per-host exposure refresh to one pass over the batch.
+/// rewrite: outlinks arrive as one batch per fetch, and each accepted
+/// entry joins its level's ring without consulting host state.
 fn bench_batch_admit(rec: &mut BenchRecord) {
     use langcrawl_core::frontier::Frontier;
     use langcrawl_core::shard::ShardedFrontier;

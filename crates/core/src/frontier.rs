@@ -40,9 +40,8 @@ pub trait Frontier {
     /// Admit a batch of entries in order, returning how many were
     /// enqueued. Semantically identical to calling [`Frontier::push`]
     /// once per entry; implementations may override it to amortize
-    /// per-push bookkeeping across the batch (the sharded frontier
-    /// defers its per-host heap refresh to one pass at the end), but
-    /// must accept exactly the same entries in exactly the same order.
+    /// per-push bookkeeping across the batch (the bucketed queue folds
+    /// its counter updates into one flush at the end), but must accept exactly the same entries in exactly the same order.
     fn push_all(&mut self, entries: &[Entry]) -> u32 {
         let mut enqueued = 0u32;
         for &e in entries {

@@ -32,7 +32,7 @@ pub struct Entry {
 impl Entry {
     /// Lexicographic admission key: lower is better.
     #[inline]
-    fn key(&self) -> u16 {
+    pub(crate) fn key(&self) -> u16 {
         ((self.priority as u16) << 8) | self.distance as u16
     }
 }
@@ -73,9 +73,9 @@ pub struct UrlQueue {
 }
 
 /// Admission bar for a page never admitted: above any `key + 1`.
-const BAR_NEVER: u32 = u16::MAX as u32 + 2;
+pub(crate) const BAR_NEVER: u32 = u16::MAX as u32 + 2;
 /// Admission bar for a fetched page: below any `key + 1`.
-const BAR_DONE: u32 = 0;
+pub(crate) const BAR_DONE: u32 = 0;
 
 impl UrlQueue {
     /// Queue over a space of `num_pages` URLs with priorities `0..levels`.

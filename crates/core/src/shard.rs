@@ -9,50 +9,50 @@
 //! [`Frontier`] trait, so strategies and the admission contract are
 //! untouched:
 //!
-//! * **admission** is global and identical to [`UrlQueue`]: one `best`
-//!   key table, one `done` table, `pending()` counts distinct waiting
-//!   pages;
-//! * **storage** is per-host: every entry lives in its host's parked
-//!   queue, always — one index-linked FIFO list per `(host, level)`
-//!   slot, with nodes drawn from a single slab ([`Node`]) and recycled
-//!   through a free list, so steady-state storage churn allocates
-//!   nothing. A host's minimum entry is the head of its lowest
-//!   non-empty level list (heads are seq-sorted by construction, since
-//!   entries append with a globally increasing seq — the exact
-//!   `(level, seq)` minimum the per-host heap used to compute). A ready
-//!   host additionally *exposes* a copy of its minimum entry as a token
-//!   in the owning shard's avail heap; tokens are disposable — when a
-//!   host's minimum changes (better discovery, state transition), a
-//!   fresh token is pushed and the old one goes stale, to be discarded
-//!   when it surfaces;
+//! * **admission** is global and identical to [`UrlQueue`]: one
+//!   per-page admission bar, `pending()` counts distinct waiting pages;
+//! * **storage** is [`UrlQueue`]'s: every admitted entry is appended
+//!   to its priority level's FIFO ring. Only a host that cannot fetch
+//!   (`Busy` or `Cooling`) needs a queue of its own: when one of its
+//!   entries reaches a ring head, the entry moves to the host's
+//!   `(host, level)` parked list — index-linked FIFO lists over one
+//!   slab of [`Node`]s, recycled through a free list, so steady-state
+//!   churn allocates nothing;
 //! * **pop order** is the exact global `(priority level, FIFO seq)`
-//!   discipline of [`UrlQueue`], *regardless of shard count*: each
-//!   ready host exposes exactly its minimum entry, so the minimum over
-//!   shard tops is the global minimum, and stale entries are skipped
-//!   destructively at pop time just as the FIFO rings skip them. The
-//!   shard-parity property test drives this equivalence through random
-//!   push/pop/requeue interleavings.
+//!   discipline of [`UrlQueue`] over ready hosts, *regardless of shard
+//!   count*. Two candidates compete: the first ring head (lowest level)
+//!   whose host is ready, and the top of one token heap holding each
+//!   ready host's parked minimum. A parked entry left its ring's head
+//!   before every entry still in that ring, so it wins level ties, and
+//!   parked entries order among themselves by park ordinal, which
+//!   follows ring order within a level. Stale entries are checked only
+//!   after that choice and dropped destructively, exactly when the FIFO
+//!   rings would have skipped them. The shard-parity and schedule
+//!   property tests drive this equivalence through random interleavings.
 //!
 //! The scheduler-facing surface ([`ShardedFrontier::pop_ready`],
 //! [`ShardedFrontier::release`], [`ShardedFrontier::advance_to`]) adds
 //! per-host state — `Ready`/`Busy`/`Cooling` — on top: a busy or
-//! cooling host parks all its entries and exposes nothing, which is
-//! how per-host concurrency 1 and politeness gaps are enforced without
-//! any scan. With every host permanently ready (the plain [`Frontier`]
-//! path), the state machinery is inert.
+//! cooling host's entries are passed over (and parked as they surface),
+//! which is how per-host concurrency 1 and politeness gaps are enforced
+//! without any scan; cool-downs wait in one `(ready_at, host)` heap.
+//! With every host permanently ready (the plain [`Frontier`] path),
+//! nothing is ever parked and the frontier is [`UrlQueue`]'s rings.
+//! Shards are accounting only ([`ShardStats`], handoffs): pop order is
+//! global.
 //!
 //! Tie-breaks are total and deterministic everywhere: `(level, seq)`
-//! orders entries (seq is the global push ordinal, so FIFO within a
-//! level), `(ready_at, host)` orders cool-downs, and shard assignment
-//! is a pure hash of the host id.
+//! orders entries, `(level, park ordinal)` orders parked minima,
+//! `(ready_at, host)` orders cool-downs, and shard assignment is a pure
+//! hash of the host id.
 
 use crate::frontier::Frontier;
-use crate::queue::Entry;
+use crate::queue::{Entry, BAR_DONE, BAR_NEVER};
 use crate::snapshot::{Dec, Enc, SnapshotError};
 use langcrawl_rng::mix;
 use langcrawl_webgraph::{PageId, WebSpace};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Salt for the host → shard hash. Any fixed constant works; hashing
 /// (rather than `host % shards`) decorrelates shard load from the
@@ -69,13 +69,20 @@ const NIL: u32 = u32::MAX;
 /// the space size, far below `u32::MAX`.
 const FREE_PAGE: PageId = PageId::MAX;
 
+/// Token keys pack `level << LEVEL_SHIFT | park ordinal`, so one `u64`
+/// comparison is the `(level, ordinal)` order.
+const LEVEL_SHIFT: u32 = 56;
+
+/// `exposed` sentinel: the host holds no live token.
+const NO_TOKEN: u64 = u64::MAX;
+
 /// One parked entry in the slab: the payload plus the `next` link of
-/// its `(host, level)` FIFO list. `seq` is the global push ordinal —
-/// unique, so `(level, seq)` totally orders a host's entries and the
-/// list head at the lowest non-empty level is the host's minimum.
+/// its `(host, level)` FIFO list. `ord` is the global park ordinal —
+/// unique, and increasing in ring order within a level, so the list
+/// head at the host's lowest non-empty level is its parked minimum.
 #[derive(Debug, Clone, Copy)]
 struct Node {
-    seq: u64,
+    ord: u64,
     page: PageId,
     priority: u8,
     distance: u8,
@@ -87,13 +94,13 @@ struct Node {
 /// Per-host scheduling state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum HostState {
-    /// May fetch: its minimum entry (if any) stands in the shard's
-    /// avail heap.
-    Ready,
+    /// May fetch: its ring entries are candidates, and its parked
+    /// minimum (if any) stands in the token heap.
+    Ready = 0,
     /// A fetch is in flight: per-host concurrency 1 parks everything.
-    Busy,
+    Busy = 1,
     /// Politeness cool-down: parked until its `ready_at` tick.
-    Cooling,
+    Cooling = 2,
 }
 
 /// Per-shard load counters, for the imbalance stats the parallelism
@@ -107,23 +114,6 @@ pub struct ShardStats {
     /// Accepted pushes that arrived from a fetch resolving on another
     /// shard — the cross-shard discovery handoff traffic.
     pub handoffs_in: u64,
-}
-
-/// `(level, seq, host, page, priority, distance)` — an exposure token:
-/// a disposable copy of one host's parked minimum, ordered by the same
-/// `(level, seq)` key as the host heaps.
-type AvailToken = (u8, u64, u32, PageId, u8, u8);
-
-/// One shard: the hosts it owns expose their minima here.
-#[derive(Debug, Default)]
-struct Shard {
-    /// Exposure tokens (copies of host minima), live and stale mixed;
-    /// staleness is checked against the host's `exposed` marker when a
-    /// token surfaces.
-    avail: BinaryHeap<Reverse<AvailToken>>,
-    /// `(ready_at, host)` for hosts in politeness cool-down.
-    cooling: BinaryHeap<Reverse<(u64, u32)>>,
-    stats: ShardStats,
 }
 
 /// The host-sharded, politeness-aware frontier. See the module docs for
@@ -145,43 +135,49 @@ struct Shard {
 /// ```
 #[derive(Debug)]
 pub struct ShardedFrontier {
-    shards: Vec<Shard>,
-    /// The parked-entry slab: every waiting entry is a [`Node`] here,
-    /// linked into its `(host, level)` FIFO list. Detached nodes move
-    /// to the free list and are reused before the slab grows, so
-    /// steady-state traffic recycles indices instead of allocating.
+    /// One FIFO ring per priority level: every admitted entry with its
+    /// host, in admission order, until it pops or parks. Priorities at
+    /// or above the level count clamp into the last ring, exactly like
+    /// [`UrlQueue`].
+    rings: Vec<VecDeque<(Entry, u32)>>,
+    /// The parked-entry slab: entries that surfaced while their host
+    /// was busy or cooling, linked into `(host, level)` FIFO lists.
+    /// Detached nodes move to the free list and are reused before the
+    /// slab grows.
     nodes: Vec<Node>,
     /// Head of the free list ([`NIL`] when empty).
     free: u32,
-    /// FIFO list heads, indexed `host * num_levels + level`; [`NIL`]
+    /// Parked list heads, indexed `host * levels + level`; [`NIL`]
     /// marks an empty list.
     heads: Vec<u32>,
-    /// FIFO list tails, same indexing; meaningful only when the
+    /// Parked list tails, same indexing; meaningful only when the
     /// matching head is not [`NIL`].
     tails: Vec<u32>,
-    /// `(level, seq)` of the token each host currently exposes in its
-    /// shard's avail heap; `None` when the host exposes nothing (busy,
-    /// cooling, or empty). Always equals the host's parked minimum when
-    /// set. Avail tokens that do not match are stale and simply
-    /// discarded — the entries they carry are safe in the slab.
-    exposed: Vec<Option<(u8, u64)>>,
+    /// Next park ordinal.
+    parks: u64,
+    /// `(key, host)` tokens: each ready host with parked entries has
+    /// one whose key matches `exposed`; others are stale and dropped
+    /// when they surface.
+    tokens: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Key of each host's live token, or [`NO_TOKEN`].
+    exposed: Vec<u64>,
+    /// Entries each host stores, in rings or parked, stale included —
+    /// what [`ShardedFrontier::release`] reports as work still queued.
+    stored: Vec<u32>,
     host_state: Vec<HostState>,
-    /// Host owning each page.
-    host_of_page: Vec<u32>,
+    /// `(ready_at, host)` for hosts in politeness cool-down.
+    cooling: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Per page: owning host in the high word, admission bar in the
+    /// low word ([`UrlQueue`]'s encoding: an entry with key `k` is live
+    /// iff `k < bar`). Fused so a push's admission check and host
+    /// lookup, and a pop's host and stale checks, share one cache line.
+    pages: Vec<u64>,
     /// Owning shard of each host (pure hash of the host id).
     shard_of_host: Vec<u32>,
-    /// Priority levels; priorities at or above clamp into the last
-    /// level, exactly like [`UrlQueue`].
-    num_levels: usize,
-    /// Best admission key per page; `u16::MAX` = never admitted.
-    best: Vec<u16>,
-    /// Pages fetched already (their stored entries are stale).
-    done: Vec<bool>,
+    stats: Vec<ShardStats>,
     pending: usize,
     max_pending: usize,
     pushes: u64,
-    /// Global push ordinal: FIFO tie-break within a level.
-    seq: u64,
     /// Host currently resolving a fetch, for handoff attribution.
     origin: Option<u32>,
     /// Total accepted pushes that crossed shards (sum of
@@ -195,27 +191,30 @@ impl ShardedFrontier {
     /// into `shards` shards.
     pub fn new(host_of_page: Vec<u32>, num_hosts: usize, levels: usize, shards: usize) -> Self {
         let shards = shards.max(1);
-        let num_pages = host_of_page.len();
         let levels = levels.max(1);
         ShardedFrontier {
-            shards: (0..shards).map(|_| Shard::default()).collect(),
+            rings: (0..levels).map(|_| VecDeque::new()).collect(),
             nodes: Vec::new(),
             free: NIL,
             heads: vec![NIL; num_hosts * levels],
             tails: vec![NIL; num_hosts * levels],
-            exposed: vec![None; num_hosts],
+            parks: 0,
+            tokens: BinaryHeap::new(),
+            exposed: vec![NO_TOKEN; num_hosts],
+            stored: vec![0; num_hosts],
             host_state: vec![HostState::Ready; num_hosts],
-            host_of_page,
+            cooling: BinaryHeap::new(),
+            pages: host_of_page
+                .iter()
+                .map(|&h| u64::from(h) << 32 | u64::from(BAR_NEVER))
+                .collect(),
             shard_of_host: (0..num_hosts)
                 .map(|h| (mix(SHARD_SALT, h as u64) % shards as u64) as u32)
                 .collect(),
-            num_levels: levels,
-            best: vec![u16::MAX; num_pages],
-            done: vec![false; num_pages],
+            stats: vec![ShardStats::default(); shards],
             pending: 0,
             max_pending: 0,
             pushes: 0,
-            seq: 0,
             origin: None,
             handoffs: 0,
         }
@@ -229,13 +228,13 @@ impl ShardedFrontier {
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.stats.len()
     }
 
     /// Host owning a page.
     pub fn host_of(&self, p: PageId) -> u32 {
         // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-        self.host_of_page[p as usize]
+        (self.pages[p as usize] >> 32) as u32
     }
 
     /// Shard owning a host.
@@ -245,7 +244,7 @@ impl ShardedFrontier {
 
     /// Per-shard load counters, in shard order.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards.iter().map(|s| s.stats).collect()
+        self.stats.clone()
     }
 
     /// Total accepted pushes that crossed shards so far. The scheduler
@@ -263,44 +262,59 @@ impl ShardedFrontier {
         self.origin = host;
     }
 
-    /// `UrlQueue`'s level clamp: priorities at or above the level count
-    /// share the last ring.
-    fn level(&self, e: &Entry) -> u8 {
-        (e.priority as usize).min(self.num_levels - 1) as u8
-    }
-
-    /// Store an accepted entry on its host (shard stats and handoff
-    /// attribution included) and return the host. Does *not* re-expose
-    /// the host's minimum — callers follow up with [`Self::refresh`],
-    /// either immediately ([`Frontier::push`]) or once per host after a
-    /// whole batch landed ([`Frontier::push_all`]).
-    // Covered transitively by the root marker on [`Self::push_all`]:
-    // nodes come from the free list, so steady-state inserts allocate
-    // nothing.
-    fn insert(&mut self, e: Entry) -> u32 {
+    /// Admit `e` if its key beats the page's bar (`readmit`, the
+    /// requeue path, treats a fetched page as never admitted), then
+    /// append it to its level's ring with shard stats and handoff
+    /// attribution.
+    // Covered transitively by the root marker on [`Frontier::push_all`]:
+    // rings only grow to their high-water size.
+    fn admit(&mut self, e: Entry, readmit: bool) -> bool {
         // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-        let host = self.host_of_page[e.page as usize];
-        let level = self.level(&e);
-        let seq = self.seq;
-        self.seq += 1;
-        let si = self.shard_of_host[host as usize] as usize;
-        self.shards[si].stats.pushes += 1;
+        let word = self.pages[e.page as usize];
+        let bar = match word as u32 {
+            BAR_DONE if readmit => BAR_NEVER,
+            bar => bar,
+        };
+        let raised = e.key() as u32 + 1;
+        if raised >= bar {
+            return false; // fetched, duplicate, or not strictly better
+        }
+        if bar == BAR_NEVER {
+            self.pending += 1;
+            self.max_pending = self.max_pending.max(self.pending);
+        }
+        self.pages[e.page as usize] = word >> 32 << 32 | u64::from(raised);
+        let host = (word >> 32) as usize;
+        let si = self.shard_of_host[host] as usize;
+        self.stats[si].pushes += 1;
         if let Some(from) = self.origin {
             if self.shard_of_host[from as usize] as usize != si {
-                self.shards[si].stats.handoffs_in += 1;
+                self.stats[si].handoffs_in += 1;
                 self.handoffs += 1;
             }
         }
+        self.stored[host] += 1;
+        let level = (e.priority as usize).min(self.rings.len() - 1);
+        self.rings[level].push_back((e, host as u32));
+        self.pushes += 1;
+        true
+    }
+
+    /// Move a ring head whose host cannot fetch to the tail of the
+    /// host's `level` list, stamped with the next park ordinal.
+    fn park(&mut self, host: u32, level: usize, e: Entry) {
         let node = Node {
-            seq,
+            ord: self.parks,
             page: e.page,
             priority: e.priority,
             distance: e.distance,
             next: NIL,
         };
+        self.parks += 1;
         // Recycle a detached node before growing the slab.
         let idx = if self.free != NIL {
             let idx = self.free;
+            // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
             self.free = self.nodes[idx as usize].next;
             self.nodes[idx as usize] = node;
             idx
@@ -308,151 +322,134 @@ impl ShardedFrontier {
             self.nodes.push(node);
             (self.nodes.len() - 1) as u32
         };
-        // Append to the `(host, level)` FIFO list: seqs only grow, so
-        // the list stays seq-sorted and its head is the level minimum.
-        let slot = host as usize * self.num_levels + level as usize;
+        let slot = host as usize * self.rings.len() + level;
         if self.heads[slot] == NIL {
             self.heads[slot] = idx;
         } else {
             self.nodes[self.tails[slot] as usize].next = idx;
         }
         self.tails[slot] = idx;
-        host
     }
 
-    /// The host's parked minimum: `(level, seq, node index)` of the
-    /// head of its lowest non-empty level list, or `None` when the host
-    /// parks nothing. Equivalent to the old per-host heap peek — each
-    /// list head is its level's minimum seq, and level dominates seq in
-    /// the `(level, seq)` order.
-    fn host_min(&self, host: u32) -> Option<(u8, u64, u32)> {
-        let base = host as usize * self.num_levels;
-        for level in 0..self.num_levels {
-            // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-            let head = self.heads[base + level];
-            if head != NIL {
-                return Some((level as u8, self.nodes[head as usize].seq, head));
-            }
+    /// The host's parked minimum as a token key: the head of its
+    /// lowest non-empty level list, or `None` when it parks nothing.
+    fn host_min(&self, host: u32) -> Option<u64> {
+        let base = host as usize * self.rings.len();
+        // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
+        let heads = &self.heads[base..base + self.rings.len()];
+        let level = heads.iter().position(|&h| h != NIL)?;
+        let node = self.nodes[heads[level] as usize];
+        Some((level as u64) << LEVEL_SHIFT | node.ord)
+    }
+
+    /// Detach the head of the host's `level` list, recycle its node and
+    /// return its entry. Callers pass the level of a live token.
+    fn detach_min(&mut self, host: u32, level: usize) -> Entry {
+        let slot = host as usize * self.rings.len() + level;
+        // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
+        let idx = self.heads[slot] as usize;
+        let node = self.nodes[idx];
+        self.heads[slot] = node.next;
+        self.nodes[idx].page = FREE_PAGE;
+        self.nodes[idx].next = self.free;
+        self.free = idx as u32;
+        Entry {
+            page: node.page,
+            priority: node.priority,
+            distance: node.distance,
         }
-        None
     }
 
-    /// Detach the head of the host's `level` list and recycle its node.
-    /// Callers pass the level of a minimum they just consumed.
-    fn detach_min(&mut self, host: u32, level: u8) {
-        let slot = host as usize * self.num_levels + level as usize;
+    /// Keep the token invariant for one host: a ready host with parked
+    /// entries holds exactly one live token, its parked minimum.
+    /// Idempotent; no-op for busy and cooling hosts.
+    fn expose(&mut self, host: u32) {
+        let h = host as usize;
         // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-        let idx = self.heads[slot];
-        debug_assert_ne!(idx, NIL, "detach_min on an empty list");
-        self.heads[slot] = self.nodes[idx as usize].next;
-        self.nodes[idx as usize].page = FREE_PAGE;
-        self.nodes[idx as usize].next = self.free;
-        self.free = idx;
-    }
-
-    /// Re-establish the exposure invariant for one host: a `Ready` host
-    /// with entries exposes exactly its parked minimum. Pushes a fresh
-    /// token when the exposed minimum changed (the previous token, if
-    /// any, goes stale and is discarded when it surfaces); no-op for
-    /// busy/cooling hosts and when the minimum is already exposed —
-    /// which also makes it idempotent, so a batch admission may refresh
-    /// each touched host once after the whole batch instead of after
-    /// every entry.
-    // Covered transitively by the root markers on [`Self::push_all`]
-    // and [`Self::pop_inner`], which both land here.
-    fn refresh(&mut self, host: u32) {
-        // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-        if self.host_state[host as usize] != HostState::Ready {
+        if self.host_state[h] != HostState::Ready {
             return;
         }
         match self.host_min(host) {
-            Some((level, seq, idx)) => {
-                if self.exposed[host as usize] != Some((level, seq)) {
-                    self.exposed[host as usize] = Some((level, seq));
-                    let si = self.shard_of_host[host as usize] as usize;
-                    let n = self.nodes[idx as usize];
-                    self.shards[si]
-                        .avail
-                        .push(Reverse((level, seq, host, n.page, n.priority, n.distance)));
-                }
+            Some(key) if self.exposed[h] != key => {
+                self.exposed[h] = key;
+                self.tokens.push(Reverse((key, host)));
             }
-            None => self.exposed[host as usize] = None,
-        }
-    }
-
-    /// Settle shard `si`'s avail top to a live token and return its
-    /// `(level, seq)`, discarding stale tokens along the way. `None`
-    /// when the shard exposes nothing.
-    fn clean_top(&mut self, si: usize) -> Option<(u8, u64)> {
-        loop {
-            // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-            let &Reverse((level, seq, host, ..)) = self.shards[si].avail.peek()?;
-            if self.exposed[host as usize] == Some((level, seq)) {
-                // A live token implies its host is Ready (only
-                // `refresh` sets `exposed`, and every transition away
-                // from Ready clears it) and that the token mirrors the
-                // host's parked minimum.
-                return Some((level, seq));
-            }
-            // Stale token: the host's minimum moved on, or the host
-            // left Ready. The entry it carries still lives in the
-            // slab, so the copy is just dropped.
-            self.shards[si].avail.pop();
+            Some(_) => {}
+            None => self.exposed[h] = NO_TOKEN,
         }
     }
 
     /// Pop the global minimum over ready hosts. `mark_busy` is the
     /// scheduler path: the popped entry's host transitions to `Busy`
-    /// (per-host concurrency 1) instead of re-exposing its next entry.
-    // lint:root(panic-free, alloc-free) — one call per fetch;
-    // stale-token skips recycle slab nodes, never allocate.
+    /// (per-host concurrency 1) instead of staying ready.
+    // lint:root(panic-free, alloc-free) — one call per fetch; parking
+    // recycles slab nodes, and rings and heaps only grow to their
+    // high-water size.
     fn pop_inner(&mut self, mark_busy: bool) -> Option<Entry> {
+        let levels = self.rings.len();
         loop {
-            // The minimum over shard tops is the global minimum over
-            // ready hosts: each ready host exposes exactly its minimum.
-            let mut min: Option<(usize, (u8, u64))> = None;
-            for si in 0..self.shards.len() {
-                if let Some(k) = self.clean_top(si) {
-                    if min.is_none_or(|(_, mk)| k < mk) {
-                        min = Some((si, k));
+            // Parked candidate: the top live token, stale ones dropped.
+            let mut parked = None;
+            while let Some(&Reverse((key, host))) = self.tokens.peek() {
+                // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
+                if self.exposed[host as usize] == key {
+                    parked = Some((key, host));
+                    break;
+                }
+                self.tokens.pop();
+            }
+            // Ring candidate: only levels below the parked one can win,
+            // since a parked entry precedes its whole level's ring.
+            // Heads of busy or cooling hosts park on the way.
+            let limit = parked.map_or(levels, |(key, _)| (key >> LEVEL_SHIFT) as usize);
+            let mut ring = None;
+            'levels: for level in 0..limit {
+                while let Some(&(e, host)) = self.rings[level].front() {
+                    if self.host_state[host as usize] == HostState::Ready {
+                        ring = Some((level, host));
+                        break 'levels;
                     }
+                    self.rings[level].pop_front();
+                    self.park(host, level, e);
                 }
             }
-            let (si, _) = min?;
-            let Reverse((level, _, host, page, priority, distance)) =
-                // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-                self.shards[si].avail.pop()?;
-            // The live token is a copy of the host's parked minimum;
-            // consume the original too.
-            self.exposed[host as usize] = None;
-            self.detach_min(host, level);
-            let e = Entry {
-                page,
-                priority,
-                distance,
+            let (e, host, from_parked) = match ring {
+                Some((level, host)) => (self.rings[level].pop_front()?.0, host, false),
+                None => {
+                    let (key, host) = parked?;
+                    self.tokens.pop();
+                    self.exposed[host as usize] = NO_TOKEN;
+                    let level = (key >> LEVEL_SHIFT) as usize;
+                    (self.detach_min(host, level), host, true)
+                }
             };
-            let idx = page as usize;
-            if self.done[idx] || key(&e) > self.best[idx] {
+            let h = host as usize;
+            self.stored[h] -= 1;
+            let idx = e.page as usize;
+            let word = self.pages[idx];
+            if e.key() as u32 >= word as u32 {
                 // Stale: fetched already, or superseded by a better
-                // admission. Discarded destructively at pop time —
-                // exactly when the FIFO rings would have skipped it.
-                self.refresh(host);
+                // admission — dropped when it surfaces, as the rings do.
+                if from_parked {
+                    self.expose(host);
+                }
                 continue;
             }
-            self.done[idx] = true;
+            self.pages[idx] = word >> 32 << 32 | u64::from(BAR_DONE);
             self.pending -= 1;
-            self.shards[si].stats.pops += 1;
+            self.stats[self.shard_of_host[h] as usize].pops += 1;
             if mark_busy {
-                self.host_state[host as usize] = HostState::Busy;
-            } else {
-                self.refresh(host);
+                self.host_state[h] = HostState::Busy;
+                self.exposed[h] = NO_TOKEN;
+            } else if from_parked {
+                self.expose(host);
             }
             return Some(e);
         }
     }
 
     /// Scheduler pop: the global minimum over *ready* hosts, marking
-    /// the winning host `Busy`. Busy and cooling hosts expose nothing,
+    /// the winning host `Busy`. Busy and cooling hosts are passed over,
     /// so per-host concurrency 1 and politeness gaps hold by
     /// construction. `None` when every waiting entry belongs to a busy
     /// or cooling host (or the frontier is dry).
@@ -462,158 +459,120 @@ impl ShardedFrontier {
 
     /// Finish a fetch on `host`. `ready_at` is the host's next allowed
     /// fetch start (politeness); at or before `now` the host returns to
-    /// `Ready` immediately, otherwise it parks in its shard's cool-down
-    /// heap. Returns `true` when the host was parked *with work still
+    /// `Ready` immediately, otherwise it waits in the cool-down heap.
+    /// Returns `true` when the host was parked *with work still
     /// queued* — the politeness-wait signal.
     pub fn release(&mut self, host: u32, ready_at: u64, now: u64) -> bool {
         if ready_at > now {
             // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
             self.host_state[host as usize] = HostState::Cooling;
-            let si = self.shard_of_host[host as usize] as usize;
-            self.shards[si].cooling.push(Reverse((ready_at, host)));
-            self.host_min(host).is_some()
+            self.cooling.push(Reverse((ready_at, host)));
+            self.stored[host as usize] > 0
         } else {
             self.host_state[host as usize] = HostState::Ready;
-            self.refresh(host);
+            self.expose(host);
             false
         }
     }
 
-    /// Wake every host whose cool-down expires at or before `t`.
+    /// Wake every host whose cool-down expires at or before `t`. Wake
+    /// order cannot matter: token keys are totally ordered.
     pub fn advance_to(&mut self, t: u64) {
-        for si in 0..self.shards.len() {
-            // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-            while let Some(&Reverse((ready_at, host))) = self.shards[si].cooling.peek() {
-                if ready_at > t {
-                    break;
-                }
-                self.shards[si].cooling.pop();
-                self.host_state[host as usize] = HostState::Ready;
-                self.refresh(host);
+        while let Some(&Reverse((ready_at, host))) = self.cooling.peek() {
+            if ready_at > t {
+                break;
             }
+            self.cooling.pop();
+            // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
+            self.host_state[host as usize] = HostState::Ready;
+            self.expose(host);
         }
     }
 
     /// Earliest tick at which a cooling host wakes, if any — the
     /// scheduler's next candidate time when slots idle.
     pub fn next_cooling(&self) -> Option<u64> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.cooling.peek().map(|&Reverse((at, _))| at))
-            .min()
+        self.cooling.peek().map(|&Reverse((at, _))| at)
     }
 
     /// Serialize the complete frontier state into a snapshot payload.
     ///
-    /// Canonical form, so encode∘decode∘encode is a fixed point:
-    /// parked entries as ONE flat list in slab order. A record is
-    /// `(page, priority, distance, seq)` — host comes from the page and
-    /// level from the priority clamp, so neither is stored, and per-slot
-    /// count words (mostly zero, and numerous: hosts × levels of them)
-    /// never hit the payload. Decode rebuilds the slab record by
-    /// record, so a resumed frontier's slab order *is* the record order
-    /// and re-encoding reproduces the bytes; list links are layout,
-    /// resorted from `(level, seq)` — the order the live lists held,
-    /// since seqs only grow and lists append at tail. Exposure is one
-    /// flag per host (an exposed host always exposes exactly its parked
-    /// minimum, so the token is derivable); avail heaps are not encoded
-    /// at all (stale tokens are behaviorally inert — dropping them
-    /// cannot change any observable pop); cool-downs are one globally
-    /// sorted `(ready_at, host)` list. `origin` is intentionally not
-    /// state: it is only ever `Some` *inside* a resolve, and snapshots
-    /// are taken at tick boundaries where no resolve is in flight.
+    /// Canonical form, so encode∘decode∘encode is a fixed point: the
+    /// rings level by level, front to back, as `(page, priority,
+    /// distance)` records; then the parked entries as ONE flat list in
+    /// slab order, each record adding its park ordinal (host comes from
+    /// the page and level from the priority clamp, so neither is
+    /// stored). Decode rebuilds the slab record by record, so re-encoding
+    /// reproduces the bytes; list links are layout, resorted from
+    /// `(level, ordinal)`. Then one state byte per host, and cool-downs
+    /// as one sorted `(ready_at, host)` list. Tokens are derivable (a
+    /// ready host with parked entries exposes its minimum), so none is
+    /// stored. `origin` is not state: it is only ever `Some` *inside* a
+    /// resolve, and snapshots are taken at tick boundaries.
     ///
-    /// Capture rides the scheduler's steady state, so the big walks
-    /// (parked nodes, per-host flags) stage fixed stack blocks and
-    /// append them whole, and the parked scan runs linearly over the
-    /// slab ([`FREE_PAGE`] marks holes) instead of chasing list links —
-    /// the ≤5% capture-overhead gate prices every cache miss and
-    /// per-element capacity check taken here.
+    /// Capture rides the scheduler's steady state, so records are
+    /// staged in a stack block and appended whole, and the parked scan
+    /// runs linearly over the slab ([`FREE_PAGE`] marks holes) — the
+    /// ≤5% capture-overhead gate prices every per-element capacity
+    /// check taken here.
     pub(crate) fn encode_state(&self, enc: &mut Enc) {
-        enc.u64(self.host_of_page.len() as u64);
-        enc.u64(self.exposed.len() as u64);
-        enc.u64(self.num_levels as u64);
-        enc.u64(self.shards.len() as u64);
-        // Flat parked-node list: count patched in after one linear
-        // scan. 14 bytes per record via two overlapping u64 stores
-        // (the second starts at the seq offset and re-covers the first
-        // word's two spare bytes), 18 records per staged block.
+        enc.u64(self.pages.len() as u64);
+        enc.u64(self.host_state.len() as u64);
+        enc.u64(self.rings.len() as u64);
+        enc.u64(self.stats.len() as u64);
+        let mut st = Stage::default();
+        for ring in &self.rings {
+            enc.u64(ring.len() as u64);
+            for (e, _) in ring {
+                st.put(enc, record(e.page, e.priority, e.distance), 6);
+            }
+            st.flush(enc);
+        }
         let count_at = enc.mark();
         enc.u64(0);
         let mut n = 0u64;
-        let mut block = [0u8; 252];
-        let mut fill = 0;
-        for node in &self.nodes {
-            if node.page == FREE_PAGE {
-                continue;
-            }
-            let w = u64::from(node.page)
-                | u64::from(node.priority) << 32
-                | u64::from(node.distance) << 40;
-            // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-            block[fill..fill + 8].copy_from_slice(&w.to_le_bytes());
-            // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-            block[fill + 6..fill + 14].copy_from_slice(&node.seq.to_le_bytes());
-            fill += 14;
-            if fill == block.len() {
-                // lint:allow(no-alloc-transitive): capture-time encode: the snapshot buffer is reused and reaches its high-water size once
-                enc.buf.extend_from_slice(&block);
-                fill = 0;
-            }
+        for node in self.nodes.iter().filter(|n| n.page != FREE_PAGE) {
+            st.put(enc, record(node.page, node.priority, node.distance), 6);
+            st.put(enc, node.ord, 8);
             n += 1;
         }
-        // lint:allow(no-alloc-transitive): capture-time encode: the snapshot buffer is reused and reaches its high-water size once
-        enc.buf.extend_from_slice(&block[..fill]);
+        st.flush(enc);
         enc.patch_u64(count_at, n);
-        // Exposure flag + host state, two bytes per host, staged.
-        let mut fill = 0;
-        for host in 0..self.exposed.len() {
-            block[fill] = u8::from(self.exposed[host].is_some());
-            block[fill + 1] = match self.host_state[host] {
-                HostState::Ready => 0,
-                HostState::Busy => 1,
-                HostState::Cooling => 2,
-            };
-            fill += 2;
-            if fill == block.len() {
-                // lint:allow(no-alloc-transitive): capture-time encode: the snapshot buffer is reused and reaches its high-water size once
-                enc.buf.extend_from_slice(&block);
-                fill = 0;
-            }
+        for &s in &self.host_state {
+            st.put(enc, s as u64, 1);
         }
-        // lint:allow(no-alloc-transitive): capture-time encode: the snapshot buffer is reused and reaches its high-water size once
-        enc.buf.extend_from_slice(&block[..fill]);
-        let mut cooling: Vec<(u64, u32)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.cooling.iter().map(|&Reverse(x)| x))
-            // lint:allow(no-alloc-transitive): capture-time encode: the snapshot buffer is reused and reaches its high-water size once
-            .collect();
+        st.flush(enc);
+        // lint:allow(no-alloc-transitive): capture-time encode: the cool-down list is sorted into canonical order once per capture
+        let mut cooling: Vec<(u64, u32)> = self.cooling.iter().map(|&Reverse(x)| x).collect();
         cooling.sort_unstable();
         enc.u64(cooling.len() as u64);
         for (at, host) in cooling {
             enc.u64(at);
             enc.u32(host);
         }
-        for s in &self.shards {
-            enc.u64(s.stats.pushes);
-            enc.u64(s.stats.pops);
-            enc.u64(s.stats.handoffs_in);
+        for s in &self.stats {
+            enc.u64(s.pushes);
+            enc.u64(s.pops);
+            enc.u64(s.handoffs_in);
         }
-        enc.u16s(&self.best);
-        enc.bools(&self.done);
+        let mut bars = [0u32; 64];
+        for chunk in self.pages.chunks(64) {
+            for (b, &w) in bars.iter_mut().zip(chunk) {
+                *b = w as u32;
+            }
+            enc.u32s(bars.get(..chunk.len()).unwrap_or_default());
+        }
         enc.u64(self.pending as u64);
         enc.u64(self.max_pending as u64);
         enc.u64(self.pushes);
-        enc.u64(self.seq);
+        enc.u64(self.parks);
         enc.u64(self.handoffs);
     }
 
     /// Rebuild a frontier from a snapshot payload. The shape arguments
     /// come from the regenerated space and the snapshot header; the
-    /// payload must agree with them. Avail heaps are rebuilt from the
-    /// exposure flags (each exposed host re-exposes its parked
-    /// minimum); structural violations surface as
+    /// payload must agree with them. Tokens are rebuilt for every ready
+    /// host with parked entries; structural violations surface as
     /// [`SnapshotError::Malformed`].
     pub(crate) fn decode_state(
         dec: &mut Dec<'_>,
@@ -623,42 +582,63 @@ impl ShardedFrontier {
         shards: usize,
     ) -> Result<ShardedFrontier, SnapshotError> {
         let mut f = ShardedFrontier::new(host_of_page, num_hosts, levels, shards);
-        if dec.len()? != f.host_of_page.len() {
+        let levels = f.rings.len();
+        if dec.len()? != f.pages.len() {
             return Err(SnapshotError::Malformed("frontier page count mismatch"));
         }
         if dec.len()? != num_hosts {
             return Err(SnapshotError::Malformed("frontier host count mismatch"));
         }
-        if dec.len()? != f.num_levels {
+        if dec.len()? != levels {
             return Err(SnapshotError::Malformed("frontier level count mismatch"));
         }
-        if dec.len()? != f.shards.len() {
+        if dec.len()? != f.stats.len() {
             return Err(SnapshotError::Malformed("frontier shard count mismatch"));
         }
-        let n = dec.len()?;
-        f.nodes.reserve(n);
-        // `(slot, seq, slab index)` for every record: sorting this
-        // relinks each `(host, level)` FIFO list in `(level, seq)`
-        // order — exactly the order the captured lists held. The slab
-        // itself fills in record order, which is what makes re-encoding
-        // a fixed point.
-        let mut links: Vec<(usize, u64, u32)> = Vec::with_capacity(n);
-        for i in 0..n {
+        // `(page, priority, distance)` plus the entry's host and level.
+        let entry = |dec: &mut Dec<'_>, f: &ShardedFrontier| {
             let page = dec.u32()?;
-            if page as usize >= f.host_of_page.len() {
-                return Err(SnapshotError::Malformed("parked page out of range"));
+            let Some(&word) = f.pages.get(page as usize) else {
+                return Err(SnapshotError::Malformed("frontier page out of range"));
+            };
+            let host = word >> 32;
+            let (priority, distance) = (dec.u8()?, dec.u8()?);
+            let level = (priority as usize).min(levels - 1);
+            Ok((
+                Entry {
+                    page,
+                    priority,
+                    distance,
+                },
+                host as usize,
+                level,
+            ))
+        };
+        for level in 0..levels {
+            for _ in 0..dec.len()? {
+                let (e, host, at) = entry(dec, &f)?;
+                if at != level {
+                    return Err(SnapshotError::Malformed("ring entry on the wrong level"));
+                }
+                f.stored[host] += 1;
+                f.rings[level].push_back((e, host as u32));
             }
-            let priority = dec.u8()?;
-            let distance = dec.u8()?;
-            let seq = dec.u64()?;
-            let host = f.host_of_page[page as usize];
-            let level = (priority as usize).min(f.num_levels - 1);
-            links.push((host as usize * f.num_levels + level, seq, i as u32));
+        }
+        // `(slot, ordinal, slab index)` for every record: sorting this
+        // relinks each `(host, level)` list in ordinal order — the
+        // order the captured lists held. The slab itself fills in record
+        // order, which is what makes re-encoding a fixed point.
+        let mut links: Vec<(usize, u64, u32)> = Vec::new();
+        for i in 0..dec.len()? {
+            let (e, host, level) = entry(dec, &f)?;
+            let ord = dec.u64()?;
+            f.stored[host] += 1;
+            links.push((host * levels + level, ord, i as u32));
             f.nodes.push(Node {
-                seq,
-                page,
-                priority,
-                distance,
+                ord,
+                page: e.page,
+                priority: e.priority,
+                distance: e.distance,
                 next: NIL,
             });
         }
@@ -671,127 +651,103 @@ impl ShardedFrontier {
             }
             f.tails[slot] = idx;
         }
-        let mut exposed_flags = vec![false; num_hosts];
-        for (host, flag) in exposed_flags.iter_mut().enumerate() {
-            *flag = dec.bool()?;
-            f.host_state[host] = match dec.u8()? {
+        for state in &mut f.host_state {
+            *state = match dec.u8()? {
                 0 => HostState::Ready,
                 1 => HostState::Busy,
                 2 => HostState::Cooling,
                 _ => return Err(SnapshotError::Malformed("host state out of range")),
             };
         }
-        for (host, &exposed) in exposed_flags.iter().enumerate() {
-            if !exposed {
-                continue;
-            }
-            let Some((level, seq, idx)) = f.host_min(host as u32) else {
-                return Err(SnapshotError::Malformed("exposed host parks nothing"));
-            };
-            f.exposed[host] = Some((level, seq));
-            let si = f.shard_of_host[host] as usize;
-            let n = f.nodes[idx as usize];
-            f.shards[si].avail.push(Reverse((
-                level,
-                seq,
-                host as u32,
-                n.page,
-                n.priority,
-                n.distance,
-            )));
+        for host in 0..num_hosts as u32 {
+            f.expose(host);
         }
-        let ncool = dec.len()?;
-        for _ in 0..ncool {
+        for _ in 0..dec.len()? {
             let at = dec.u64()?;
             let host = dec.u32()?;
             if host as usize >= num_hosts {
                 return Err(SnapshotError::Malformed("cooling host out of range"));
             }
-            let si = f.shard_of_host[host as usize] as usize;
-            f.shards[si].cooling.push(Reverse((at, host)));
+            f.cooling.push(Reverse((at, host)));
         }
-        for s in &mut f.shards {
-            s.stats.pushes = dec.u64()?;
-            s.stats.pops = dec.u64()?;
-            s.stats.handoffs_in = dec.u64()?;
+        for s in &mut f.stats {
+            s.pushes = dec.u64()?;
+            s.pops = dec.u64()?;
+            s.handoffs_in = dec.u64()?;
         }
-        for b in &mut f.best {
-            *b = dec.u16()?;
+        for w in &mut f.pages {
+            let bar = dec.u32()?;
+            if bar > BAR_NEVER {
+                return Err(SnapshotError::Malformed("admission bar out of range"));
+            }
+            *w = *w >> 32 << 32 | u64::from(bar);
         }
-        dec.bools(&mut f.done)?;
         f.pending = dec.len()?;
         f.max_pending = dec.len()?;
         f.pushes = dec.u64()?;
-        f.seq = dec.u64()?;
+        f.parks = dec.u64()?;
         f.handoffs = dec.u64()?;
         Ok(f)
     }
 }
 
-/// The shared admission key (identical to `UrlQueue`'s).
-fn key(e: &Entry) -> u16 {
-    ((e.priority as u16) << 8) | e.distance as u16
+/// A `(page, priority, distance)` snapshot record in its low 6 bytes.
+fn record(page: PageId, priority: u8, distance: u8) -> u64 {
+    u64::from(page) | u64::from(priority) << 32 | u64::from(distance) << 40
+}
+
+/// Stack staging for snapshot records: each `put` stores a whole word
+/// and advances by the record width, and full blocks append at once.
+struct Stage {
+    block: [u8; 256],
+    fill: usize,
+}
+
+impl Default for Stage {
+    fn default() -> Self {
+        Stage {
+            block: [0; 256],
+            fill: 0,
+        }
+    }
+}
+
+impl Stage {
+    /// Append the low `width` (≤ 8) bytes of `w`, little-endian.
+    fn put(&mut self, enc: &mut Enc, w: u64, width: usize) {
+        if self.fill + 8 > self.block.len() {
+            self.flush(enc);
+        }
+        if let Some(dst) = self.block.get_mut(self.fill..self.fill + 8) {
+            for (d, b) in dst.iter_mut().zip(w.to_le_bytes()) {
+                *d = b;
+            }
+        }
+        self.fill += width;
+    }
+
+    fn flush(&mut self, enc: &mut Enc) {
+        if let Some(staged) = self.block.get(..self.fill) {
+            // lint:allow(no-alloc-transitive): capture-time encode: the snapshot buffer is reused and reaches its high-water size once
+            enc.buf.extend_from_slice(staged);
+        }
+        self.fill = 0;
+    }
 }
 
 impl Frontier for ShardedFrontier {
     fn push(&mut self, e: Entry) -> bool {
-        let idx = e.page as usize;
-        // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-        if self.done[idx] {
-            return false;
-        }
-        let k = key(&e);
-        if k >= self.best[idx] {
-            return false; // duplicate or not better
-        }
-        if self.best[idx] == u16::MAX {
-            self.pending += 1;
-            self.max_pending = self.max_pending.max(self.pending);
-        }
-        self.best[idx] = k;
-        let host = self.insert(e);
-        self.refresh(host);
-        self.pushes += 1;
-        true
+        self.admit(e, false)
     }
 
-    /// Batched admission with *deferred exposure*: store every accepted
-    /// entry first, then refresh each entry's host once. Bit-identical
-    /// to per-entry pushes: admission checks, seq assignment, and shard
-    /// stats run per entry in order, and the avail heap's `(level, seq,
-    /// …)` order is total — the skipped intermediate tokens are exactly
-    /// the ones a per-entry push sequence would have staled and
-    /// discarded unseen, so the set of *live* tokens after the batch is
-    /// the same either way. What the batch saves is one heap push (and
-    /// later one stale-skip) per superseded intermediate minimum.
+    /// Batched admission: per-entry [`Frontier::push`], in order. No
+    /// host state is consulted — a new entry only joins its ring.
     // lint:root(panic-free, alloc-free) — one call per resolved
     // fetch with outlinks.
     fn push_all(&mut self, entries: &[Entry]) -> u32 {
         let mut enqueued = 0u32;
         for &e in entries {
-            let idx = e.page as usize;
-            // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-            if self.done[idx] {
-                continue;
-            }
-            let k = key(&e);
-            if k >= self.best[idx] {
-                continue; // duplicate or not better
-            }
-            if self.best[idx] == u16::MAX {
-                self.pending += 1;
-                self.max_pending = self.max_pending.max(self.pending);
-            }
-            self.best[idx] = k;
-            self.insert(e);
-            self.pushes += 1;
-            enqueued += 1;
-        }
-        // One refresh per touched host; idempotent, so refreshing a
-        // host once per accepted entry (rather than deduplicating the
-        // host list) costs only the repeated no-op check.
-        for &e in entries {
-            self.refresh(self.host_of_page[e.page as usize]);
+            enqueued += u32::from(self.admit(e, false));
         }
         enqueued
     }
@@ -801,19 +757,7 @@ impl Frontier for ShardedFrontier {
     }
 
     fn requeue(&mut self, e: Entry) -> bool {
-        let idx = e.page as usize;
-        // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-        if !self.done[idx] {
-            return self.push(e);
-        }
-        self.done[idx] = false;
-        self.best[idx] = key(&e);
-        self.pending += 1;
-        self.max_pending = self.max_pending.max(self.pending);
-        let host = self.insert(e);
-        self.refresh(host);
-        self.pushes += 1;
-        true
+        self.admit(e, true)
     }
 
     fn pending(&self) -> usize {
@@ -829,11 +773,11 @@ impl Frontier for ShardedFrontier {
     }
 
     fn is_done(&self, p: PageId) -> bool {
-        self.done[p as usize]
+        self.pages[p as usize] as u32 == BAR_DONE
     }
 
     fn was_admitted(&self, p: PageId) -> bool {
-        self.best[p as usize] != u16::MAX
+        self.pages[p as usize] as u32 != BAR_NEVER
     }
 }
 
@@ -1015,14 +959,14 @@ mod tests {
     }
 
     #[test]
-    fn releasing_an_emptied_host_drops_its_exposure() {
+    fn releasing_an_emptied_host_reports_no_work() {
         let mut f = frontier(1);
         f.push(e(0, 0, 0));
         f.push(e(3, 0, 0));
         assert_eq!(f.pop_ready().unwrap().page, 0);
         // Host 0 has nothing left: it still parks (politeness gaps are
-        // start-to-start, work or not) but release reports no parked
-        // work, and no exposure token lingers for the emptied host.
+        // start-to-start, work or not) but release reports no queued
+        // work, and nothing surfaces for the emptied host.
         assert!(!f.release(0, 10, 1), "empty host is not parked-with-work");
         assert_eq!(f.next_cooling(), Some(10), "the gap itself still applies");
         assert_eq!(f.pop_ready().unwrap().page, 3);
@@ -1077,8 +1021,8 @@ mod tests {
         let mut f = frontier(1);
         assert!(f.push(e(1, 2, 0)));
         assert!(f.push(e(0, 3, 0)));
-        // Page 1 re-discovered at a better priority: the old exposure
-        // token goes stale and the better entry is exposed instead.
+        // Page 1 re-discovered at a better priority: the better entry
+        // pops first and the old one is skipped as stale.
         assert!(f.push(e(1, 0, 0)));
         assert_eq!(f.pending(), 2);
         assert_eq!(f.pop().unwrap(), e(1, 0, 0));

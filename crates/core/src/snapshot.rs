@@ -2,8 +2,8 @@
 //! codec for mid-crawl engine state.
 //!
 //! A [`CrawlSnapshot`] captures the complete scheduler-path state of a
-//! crawl at a tick boundary: the frontier (per-host queues, exposure
-//! state, admission bars), the retry heap, per-host politeness clocks,
+//! crawl at a tick boundary: the frontier (priority rings, parked
+//! per-host lists, host states, admission bars), the retry heap, per-host politeness clocks,
 //! the attempt table, and the run counters. The web space itself is
 //! *not* serialized — it is recorded as (identity fingerprint,
 //! generation seed) and regenerated by the caller, then verified on
@@ -16,7 +16,7 @@
 //!
 //! ```text
 //! magic   "LCSNAPSH"      8 bytes
-//! version u32             currently 1
+//! version u32             currently 2
 //! payload_len u64
 //! payload                 payload_len bytes
 //! checksum u64            lane-parallel multiply-xor over payload
@@ -26,7 +26,8 @@
 //! generation seed, engine-config fingerprint, strategy level count,
 //! scheduler config, frontier kind, tick, crawled count) followed by
 //! the run state and the frontier state, encoded canonically — heaps
-//! as sorted lists, slabs in slab order (which decoding reproduces) —
+//! as sorted lists, rings front to back, slabs in slab order (which
+//! decoding reproduces) —
 //! so re-encoding a decoded snapshot reproduces the original bytes.
 //!
 //! Decoding is total: truncation, corruption, and version or space
@@ -43,7 +44,7 @@ use std::path::PathBuf;
 const MAGIC: [u8; 8] = *b"LCSNAPSH";
 
 /// Current snapshot format version.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Why a snapshot could not be decoded, verified, or resumed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -193,13 +194,6 @@ impl Enc {
         self.buf.push(v);
     }
 
-    /// Kept for codec symmetry with [`Dec::u16`] — every current u16
-    /// field is written through the bulk [`Enc::u16s`] path.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     pub(crate) fn u32(&mut self, v: u32) {
         // lint:allow(no-alloc-transitive): the encoder buffer is reused across captures; reserve/extend only copy once at high water
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -214,44 +208,12 @@ impl Enc {
         self.buf.push(u8::from(v));
     }
 
-    /// Bulk little-endian `u16` append. The per-page arrays a snapshot
-    /// carries (admission bars, best-key tables) are tens of thousands
-    /// of elements; a per-element `extend_from_slice` call pays a
-    /// capacity check each — staging fixed blocks on the stack and
-    /// appending them whole keeps bulk encoding at memcpy-ish speed,
-    /// which the capture-overhead gate needs.
-    pub(crate) fn u16s(&mut self, vs: &[u16]) {
-        let mut block = [0u8; 256];
-        // lint:allow(no-alloc-transitive): the encoder buffer is reused across captures; reserve/extend only copy once at high water
-        self.buf.reserve(vs.len() * 2);
-        for chunk in vs.chunks(128) {
-            // Pack four elements into one u64 store: a 2-byte
-            // copy_from_slice per element re-checks lengths and defeats
-            // vectorization, which at per-page array sizes is the
-            // difference between ~1.3 GB/s and memcpy-class encoding.
-            let mut quads = chunk.chunks_exact(4);
-            let mut fill = 0;
-            for q in quads.by_ref() {
-                // lint:allow(no-panic-transitive): offsets and lengths are derived from the slices being copied
-                let w = u64::from(q[0])
-                    | u64::from(q[1]) << 16
-                    | u64::from(q[2]) << 32
-                    | u64::from(q[3]) << 48;
-                // lint:allow(no-panic-transitive): offsets and lengths are derived from the slices being copied
-                block[fill..fill + 8].copy_from_slice(&w.to_le_bytes());
-                fill += 8;
-            }
-            for &v in quads.remainder() {
-                // lint:allow(no-panic-transitive): offsets and lengths are derived from the slices being copied
-                block[fill..fill + 2].copy_from_slice(&v.to_le_bytes());
-                fill += 2;
-            }
-            // lint:allow(no-alloc-transitive): the encoder buffer is reused across captures; reserve/extend only copy once at high water
-            self.buf.extend_from_slice(&block[..fill]);
-        }
-    }
-
-    /// Bulk little-endian `u32` append (see [`Enc::u16s`]).
+    /// Bulk little-endian `u32` append. The per-page arrays a snapshot
+    /// carries (admission bars) are tens of thousands of elements; a
+    /// per-element `extend_from_slice` call pays a capacity check each —
+    /// staging fixed blocks on the stack and appending them whole keeps
+    /// bulk encoding at memcpy-ish speed, which the capture-overhead gate
+    /// needs.
     pub(crate) fn u32s(&mut self, vs: &[u32]) {
         let mut block = [0u8; 256];
         // lint:allow(no-alloc-transitive): the encoder buffer is reused across captures; reserve/extend only copy once at high water
@@ -276,7 +238,7 @@ impl Enc {
         }
     }
 
-    /// Bulk little-endian `u64` append (see [`Enc::u16s`]).
+    /// Bulk little-endian `u64` append (see [`Enc::u32s`]).
     pub(crate) fn u64s(&mut self, vs: &[u64]) {
         let mut block = [0u8; 256];
         // lint:allow(no-alloc-transitive): the encoder buffer is reused across captures; reserve/extend only copy once at high water
@@ -289,49 +251,6 @@ impl Enc {
             // lint:allow(no-alloc-transitive): the encoder buffer is reused across captures; reserve/extend only copy once at high water
             self.buf.extend_from_slice(&block[..chunk.len() * 8]); // lint:allow(no-panic-transitive): offsets and lengths are derived from the slices being copied
         }
-    }
-
-    /// Bulk boolean append, bit-packed little-endian (bit `i % 8` of
-    /// byte `i / 8`), 8 flags per byte — per-page flag arrays dominate
-    /// snapshot payloads otherwise.
-    pub(crate) fn bools(&mut self, vs: &[bool]) {
-        // lint:allow(no-alloc-transitive): the encoder buffer is reused across captures; reserve/extend only copy once at high water
-        self.buf.reserve(vs.len().div_ceil(8));
-        // Staged like the other bulk encoders: a push per packed byte
-        // pays a capacity check each, which per-page flag arrays turn
-        // into thousands.
-        let mut block = [0u8; 256];
-        let mut fill = 0;
-        let mut full = vs.chunks_exact(8);
-        for c in full.by_ref() {
-            // Straight-line pack: no loop-carried dependency per flag.
-            // lint:allow(no-panic-transitive): offsets and lengths are derived from the slices being copied
-            block[fill] = u8::from(c[0])
-                | u8::from(c[1]) << 1
-                | u8::from(c[2]) << 2
-                | u8::from(c[3]) << 3
-                | u8::from(c[4]) << 4
-                | u8::from(c[5]) << 5
-                | u8::from(c[6]) << 6
-                | u8::from(c[7]) << 7;
-            fill += 1;
-            if fill == block.len() {
-                // lint:allow(no-alloc-transitive): the encoder buffer is reused across captures; reserve/extend only copy once at high water
-                self.buf.extend_from_slice(&block);
-                fill = 0;
-            }
-        }
-        let rest = full.remainder();
-        if !rest.is_empty() {
-            let mut b = 0u8;
-            for (i, &v) in rest.iter().enumerate() {
-                b |= u8::from(v) << i;
-            }
-            block[fill] = b;
-            fill += 1;
-        }
-        // lint:allow(no-alloc-transitive): the encoder buffer is reused across captures; reserve/extend only copy once at high water
-        self.buf.extend_from_slice(&block[..fill]);
     }
 
     /// Current write position — pair with [`Enc::patch_u64`] to emit a
@@ -380,11 +299,6 @@ impl<'a> Dec<'a> {
         Ok(self.take(1)?[0])
     }
 
-    pub(crate) fn u16(&mut self) -> Result<u16, SnapshotError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
     pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
@@ -398,36 +312,10 @@ impl<'a> Dec<'a> {
         Ok(u64::from_le_bytes(arr))
     }
 
-    pub(crate) fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapshotError::Malformed("boolean byte out of range")),
-        }
-    }
-
     /// A `u64` length/count cast into `usize`, rejecting values the
     /// platform cannot index.
     pub(crate) fn len(&mut self) -> Result<usize, SnapshotError> {
         usize::try_from(self.u64()?).map_err(|_| SnapshotError::Malformed("length overflows usize"))
-    }
-
-    /// Bulk boolean read, bit-packed as [`Enc::bools`] writes them.
-    /// Padding bits past `out.len()` must be zero (the canonical form
-    /// the encoder emits).
-    pub(crate) fn bools(&mut self, out: &mut [bool]) -> Result<(), SnapshotError> {
-        let bytes = self.take(out.len().div_ceil(8))?;
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = (bytes[i / 8] >> (i % 8)) & 1 == 1;
-        }
-        let used = out.len() % 8;
-        if used != 0 {
-            let last = bytes[bytes.len() - 1];
-            if last >> used != 0 {
-                return Err(SnapshotError::Malformed("boolean padding bits set"));
-            }
-        }
-        Ok(())
     }
 
     /// True once every payload byte has been consumed.
@@ -894,18 +782,12 @@ mod tests {
     fn codec_round_trips_every_width() {
         let mut enc = Enc::default();
         enc.u8(0xab);
-        enc.u16(0xcdef);
         enc.u32(0xdead_beef);
         enc.u64(0x0123_4567_89ab_cdef);
-        enc.bool(true);
-        enc.bool(false);
         let mut dec = Dec::new(&enc.buf);
         assert_eq!(dec.u8().unwrap(), 0xab);
-        assert_eq!(dec.u16().unwrap(), 0xcdef);
         assert_eq!(dec.u32().unwrap(), 0xdead_beef);
         assert_eq!(dec.u64().unwrap(), 0x0123_4567_89ab_cdef);
-        assert!(dec.bool().unwrap());
-        assert!(!dec.bool().unwrap());
         assert!(dec.is_empty());
         assert_eq!(dec.u8(), Err(SnapshotError::Truncated));
     }
@@ -917,15 +799,10 @@ mod tests {
         let n = 300;
         let mut bulk = Enc::default();
         let mut scalar = Enc::default();
-        let u16v: Vec<u16> = (0..n as u16).map(|i| i.wrapping_mul(257)).collect();
         let u32v: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(0x9e3779b9)).collect();
         let u64v: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x2545_f491)).collect();
-        bulk.u16s(&u16v);
         bulk.u32s(&u32v);
         bulk.u64s(&u64v);
-        for &v in &u16v {
-            scalar.u16(v);
-        }
         for &v in &u32v {
             scalar.u32(v);
         }
@@ -933,30 +810,6 @@ mod tests {
             scalar.u64(v);
         }
         assert_eq!(bulk.buf, scalar.buf);
-    }
-
-    #[test]
-    fn bitpacked_bools_round_trip_and_reject_set_padding() {
-        for n in [0usize, 1, 7, 8, 9, 255, 300] {
-            let v: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
-            let mut enc = Enc::default();
-            enc.bools(&v);
-            assert_eq!(enc.buf.len(), n.div_ceil(8));
-            let mut back = vec![false; n];
-            let mut dec = Dec::new(&enc.buf);
-            dec.bools(&mut back).unwrap();
-            assert!(dec.is_empty());
-            assert_eq!(back, v, "length {n}");
-        }
-        // A set bit past the flag count is non-canonical.
-        let mut enc = Enc::default();
-        enc.bools(&[true, false, true]);
-        enc.buf[0] |= 1 << 5;
-        let mut back = [false; 3];
-        assert_eq!(
-            Dec::new(&enc.buf).bools(&mut back),
-            Err(SnapshotError::Malformed("boolean padding bits set"))
-        );
     }
 
     #[test]
@@ -993,15 +846,6 @@ mod tests {
         longer.push(0);
         assert_ne!(checksum64(&longer), sum);
         assert_ne!(checksum64(&base[..76]), sum);
-    }
-
-    #[test]
-    fn non_binary_bool_byte_is_malformed() {
-        let mut dec = Dec::new(&[2]);
-        assert_eq!(
-            dec.bool(),
-            Err(SnapshotError::Malformed("boolean byte out of range"))
-        );
     }
 
     #[test]

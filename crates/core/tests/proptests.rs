@@ -278,6 +278,236 @@ fn sharded_frontier_matches_url_queue_including_requeue() {
     });
 }
 
+/// One step of a random scheduler-surface interleaving.
+#[derive(Debug, Clone)]
+enum SchedOp {
+    PushAll(Vec<Entry>),
+    PopReady,
+    Pop,
+    /// Release the `pick`-th busy host (mod the busy count) with a
+    /// cool-down of `delay` ticks from now (`0` = ready at once).
+    Release(u32, u64),
+    /// Advance the clock by this many ticks and wake due hosts.
+    Advance(u64),
+    Requeue(Entry),
+}
+
+/// The naive scheduler model the sharded frontier must match: every
+/// stored entry in one list (stale ones included), popped by scanning
+/// for the minimum `(level, seq)` among ready hosts.
+struct SchedModel {
+    levels: u8,
+    host_of: Vec<u32>,
+    /// `(level, seq, entry)` for every stored entry.
+    stored: Vec<(u8, u64, Entry)>,
+    seq: u64,
+    best: Vec<Option<u16>>,
+    done: Vec<bool>,
+    /// `None` = ready, `Some(None)` = busy, `Some(Some(t))` = cooling
+    /// until tick `t`.
+    state: Vec<Option<Option<u64>>>,
+    pending: usize,
+}
+
+impl SchedModel {
+    fn key(e: &Entry) -> u16 {
+        ((e.priority as u16) << 8) | e.distance as u16
+    }
+
+    fn store(&mut self, e: Entry) {
+        let level = e.priority.min(self.levels - 1);
+        self.stored.push((level, self.seq, e));
+        self.seq += 1;
+    }
+
+    fn push(&mut self, e: Entry) -> bool {
+        let p = e.page as usize;
+        if self.done[p] || self.best[p].is_some_and(|b| Self::key(&e) >= b) {
+            return false;
+        }
+        if self.best[p].is_none() {
+            self.pending += 1;
+        }
+        self.best[p] = Some(Self::key(&e));
+        self.store(e);
+        true
+    }
+
+    fn requeue(&mut self, e: Entry) -> bool {
+        let p = e.page as usize;
+        if !self.done[p] {
+            return self.push(e);
+        }
+        self.done[p] = false;
+        self.best[p] = Some(Self::key(&e));
+        self.pending += 1;
+        self.store(e);
+        true
+    }
+
+    fn pop(&mut self, mark_busy: bool) -> Option<Entry> {
+        loop {
+            let (i, _) = self
+                .stored
+                .iter()
+                .enumerate()
+                .filter(|(_, (_, _, e))| {
+                    self.state[self.host_of[e.page as usize] as usize].is_none()
+                })
+                .min_by_key(|(_, &(level, seq, _))| (level, seq))?;
+            let (_, _, e) = self.stored.remove(i);
+            let p = e.page as usize;
+            if self.done[p] || self.best[p].is_some_and(|b| Self::key(&e) > b) {
+                continue; // stale: dropped when it surfaces
+            }
+            self.done[p] = true;
+            self.pending -= 1;
+            if mark_busy {
+                self.state[self.host_of[p] as usize] = Some(None);
+            }
+            return Some(e);
+        }
+    }
+
+    fn release(&mut self, host: u32, ready_at: u64, now: u64) -> bool {
+        if ready_at > now {
+            self.state[host as usize] = Some(Some(ready_at));
+            self.stored
+                .iter()
+                .any(|(_, _, e)| self.host_of[e.page as usize] == host)
+        } else {
+            self.state[host as usize] = None;
+            false
+        }
+    }
+
+    fn advance_to(&mut self, t: u64) {
+        for s in &mut self.state {
+            if matches!(*s, Some(Some(at)) if at <= t) {
+                *s = None;
+            }
+        }
+    }
+
+    fn next_cooling(&self) -> Option<u64> {
+        self.state.iter().filter_map(|s| s.flatten()).min()
+    }
+
+    fn busy_hosts(&self) -> Vec<u32> {
+        (0..self.state.len() as u32)
+            .filter(|&h| self.state[h as usize] == Some(None))
+            .collect()
+    }
+}
+
+/// The scheduler surface against [`SchedModel`]: random interleavings
+/// of batch pushes, scheduler and plain pops, releases with random
+/// cool-downs, clock advances and retry re-admissions, at one shard and
+/// at three. Every pop, every `release` verdict (the politeness-wait
+/// signal: the host still stores an entry, stale ones included) and all
+/// accounting must agree, then both drain to the same tail.
+#[test]
+fn sharded_frontier_schedule_matches_model() {
+    const PAGES: u32 = 48;
+    const HOSTS: u32 = 5;
+    fn arb_entry(g: &mut Gen) -> Entry {
+        Entry {
+            page: g.u32(0..PAGES),
+            priority: g.u8(0..=4),
+            distance: g.u8(0..=2),
+        }
+    }
+    fn arb_op(g: &mut Gen) -> SchedOp {
+        match g.weighted(&[4, 5, 1, 4, 2, 1]) {
+            0 => SchedOp::PushAll(g.vec(1..6, arb_entry)),
+            1 => SchedOp::PopReady,
+            2 => SchedOp::Pop,
+            3 => SchedOp::Release(g.u32(0..64), g.u64(0..4)),
+            4 => SchedOp::Advance(g.u64(0..3)),
+            _ => SchedOp::Requeue(arb_entry(g)),
+        }
+    }
+    check_default(|g| {
+        let ops = g.vec(1..300, arb_op);
+        for shards in [1usize, 3] {
+            // Hosts striped over pages, so rings interleave hosts.
+            let host_of: Vec<u32> = (0..PAGES).map(|p| p % HOSTS).collect();
+            let mut real = ShardedFrontier::new(host_of.clone(), HOSTS as usize, 4, shards);
+            let mut model = SchedModel {
+                levels: 4,
+                host_of,
+                stored: Vec::new(),
+                seq: 0,
+                best: vec![None; PAGES as usize],
+                done: vec![false; PAGES as usize],
+                state: vec![None; HOSTS as usize],
+                pending: 0,
+            };
+            let mut now = 0u64;
+            for op in &ops {
+                match op {
+                    SchedOp::PushAll(batch) => {
+                        let want = batch.iter().filter(|&&e| model.push(e)).count() as u32;
+                        assert_eq!(real.push_all(batch), want, "push_all ({shards} shards)");
+                    }
+                    SchedOp::PopReady => {
+                        assert_eq!(
+                            real.pop_ready(),
+                            model.pop(true),
+                            "pop_ready ({shards} shards)"
+                        );
+                    }
+                    SchedOp::Pop => {
+                        assert_eq!(real.pop(), model.pop(false), "pop ({shards} shards)");
+                    }
+                    SchedOp::Release(pick, delay) => {
+                        let busy = model.busy_hosts();
+                        if busy.is_empty() {
+                            continue;
+                        }
+                        let host = busy[*pick as usize % busy.len()];
+                        assert_eq!(
+                            real.release(host, now + delay, now),
+                            model.release(host, now + delay, now),
+                            "release host {host} +{delay} ({shards} shards)"
+                        );
+                    }
+                    SchedOp::Advance(dt) => {
+                        now += dt;
+                        real.advance_to(now);
+                        model.advance_to(now);
+                    }
+                    SchedOp::Requeue(e) => {
+                        assert_eq!(
+                            real.requeue(*e),
+                            model.requeue(*e),
+                            "requeue ({shards} shards)"
+                        );
+                    }
+                }
+                assert_eq!(real.pending(), model.pending);
+                assert_eq!(real.next_cooling(), model.next_cooling());
+            }
+            // Drain: free every host, then both tails must agree.
+            for host in model.busy_hosts() {
+                real.release(host, now, now);
+                model.release(host, now, now);
+            }
+            if let Some(t) = model.next_cooling() {
+                real.advance_to(t);
+                model.advance_to(t);
+            }
+            loop {
+                let want = model.pop(false);
+                assert_eq!(real.pop(), want, "drain ({shards} shards)");
+                if want.is_none() {
+                    break;
+                }
+            }
+        }
+    });
+}
+
 // ------------------------------------------------------------- simulator
 
 fn build_strategy(code: u8) -> Box<dyn langcrawl_core::strategy::Strategy> {

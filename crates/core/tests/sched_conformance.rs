@@ -314,6 +314,9 @@ fn schedule_hash(
     h
 }
 
+/// One pinned strategy/classifier pair, by name.
+type PinnedRun = (&'static str, Box<dyn Strategy>, Box<dyn Classifier>);
+
 /// The three pinned strategy/classifier pairs under an arbitrary
 /// schedule (politeness, faults), hashed with [`schedule_hash`].
 fn politeness_runs(
@@ -331,7 +334,7 @@ fn politeness_runs(
     );
     let lang = ws.target_language();
     let mut out = Vec::new();
-    let runs: [(&'static str, Box<dyn Strategy>, Box<dyn Classifier>); 3] = [
+    let runs: [PinnedRun; 3] = [
         (
             "breadth_first/oracle",
             Box::new(BreadthFirst::new()),
