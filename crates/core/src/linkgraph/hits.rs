@@ -236,13 +236,20 @@ impl HitsState {
                     .push((self.hub[last][s], g.page_at(s as Slot), s as Slot));
             }
         }
-        self.board.sort_unstable_by(|a, b| {
+        // The order is total (pages are unique), so selecting the top
+        // K in O(n) and sorting only them yields the full sort's prefix.
+        let cmp = |a: &(f64, u32, Slot), b: &(f64, u32, Slot)| {
             b.0.partial_cmp(&a.0)
                 .unwrap_or(core::cmp::Ordering::Equal)
                 .then(a.1.cmp(&b.1))
-        });
+        };
         out_hubs.clear();
         let take = top_k.min(self.board.len());
+        if take == 0 {
+            return;
+        }
+        self.board.select_nth_unstable_by(take - 1, cmp);
+        self.board[..take].sort_unstable_by(cmp);
         for b in &self.board[..take] {
             out_hubs.push(b.2);
         }
