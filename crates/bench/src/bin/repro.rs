@@ -10,7 +10,8 @@
 //!
 //! Exits 0 when every harness is clean, 1 on any shape-check MISMATCH
 //! or crash, and 2 on an unknown harness name or an invalid
-//! `LANGCRAWL_SCALE`/`LANGCRAWL_SEED`.
+//! `LANGCRAWL_SCALE`, `LANGCRAWL_SEED`, `LANGCRAWL_THREADS` or
+//! `LANGCRAWL_SNAPSHOT_EVERY`.
 //!
 //! ```sh
 //! cargo run --release -p langcrawl-bench --bin repro
@@ -99,22 +100,24 @@ fn lookup(name: &str) -> (&'static str, fn()) {
         })
 }
 
-/// Read `LANGCRAWL_SCALE` and `LANGCRAWL_SEED` once up front, so a bad
-/// value stops the run with its message instead of crashing every
-/// harness. The runner's readers panic on a bad value; the default
-/// panic hook is muted meanwhile so the message prints once.
+/// Read every environment knob once up front, so a bad value stops the
+/// run with its message instead of crashing every harness. The readers
+/// panic on a bad value; the default panic hook is muted meanwhile so
+/// the message prints once.
 fn check_env() -> Result<(), String> {
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let checked = catch_unwind(|| {
         runner::env_scale(1);
         runner::env_seed();
+        runner::env_snapshot_every();
+        langcrawl_webgraph::parallel::effective_threads();
     });
     std::panic::set_hook(hook);
     checked.map_err(|payload| {
         payload
             .downcast_ref::<String>()
             .cloned()
-            .unwrap_or_else(|| "invalid LANGCRAWL_SCALE or LANGCRAWL_SEED".into())
+            .unwrap_or_else(|| "invalid langcrawl environment knob".into())
     })
 }

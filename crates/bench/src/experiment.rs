@@ -13,7 +13,8 @@
 use crate::chart::AsciiChart;
 use crate::gnuplot::{sanitize, write_script, PlotKind};
 use crate::runner::{
-    env_scale, env_seed, print_table, run_parallel, write_csv_reporting, StrategyFactory,
+    env_scale, env_seed, env_snapshot_every, print_table, run_parallel, write_csv_reporting,
+    StrategyFactory,
 };
 use langcrawl_core::classifier::{Classifier, MetaClassifier, OracleClassifier};
 use langcrawl_core::metrics::CrawlReport;
@@ -155,15 +156,14 @@ impl Experiment {
     /// `LANGCRAWL_SNAPSHOT_EVERY` supplies a snapshot cadence for
     /// experiments that didn't set one — any figure harness becomes
     /// checkpointable from the environment alone (paired with
-    /// `LANGCRAWL_SNAPSHOT_DIR` for the output directory).
+    /// `LANGCRAWL_SNAPSHOT_DIR` for the output directory). A value that
+    /// is not a positive tick count panics, naming the variable
+    /// ([`env_snapshot_every`]).
     pub fn run_on(&self, ws: &WebSpace) -> Vec<CrawlReport> {
         let classifier = (self.classifier)(ws);
         let mut config = self.config.clone();
         if config.snapshot_every.is_none() {
-            if let Some(every) = std::env::var("LANGCRAWL_SNAPSHOT_EVERY")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-            {
+            if let Some(every) = env_snapshot_every() {
                 config = config.with_snapshot_every(every);
             }
         }

@@ -33,6 +33,17 @@ pub fn env_seed() -> u64 {
     env_knob("LANGCRAWL_SEED", "a u64 seed", |v| v.parse().ok()).unwrap_or(42)
 }
 
+/// Read a snapshot cadence in ticks from `LANGCRAWL_SNAPSHOT_EVERY`
+/// (`None` when unset).
+///
+/// Panics, naming the variable and its value, when it is set to
+/// anything but a positive tick count.
+pub fn env_snapshot_every() -> Option<u64> {
+    env_knob("LANGCRAWL_SNAPSHOT_EVERY", "a positive tick count", |v| {
+        v.parse().ok().filter(|&n| n > 0)
+    })
+}
+
 /// `None` when `name` is unset; its parsed value when `parse` accepts
 /// it; a panic naming the variable, its value and `expected` otherwise.
 fn env_knob<T>(name: &str, expected: &str, parse: impl FnOnce(&str) -> Option<T>) -> Option<T> {

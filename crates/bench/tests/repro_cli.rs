@@ -11,7 +11,9 @@ fn repro(args: &[&str], env: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
     cmd.args(args)
         .env_remove("LANGCRAWL_SCALE")
-        .env_remove("LANGCRAWL_SEED");
+        .env_remove("LANGCRAWL_SEED")
+        .env_remove("LANGCRAWL_THREADS")
+        .env_remove("LANGCRAWL_SNAPSHOT_EVERY");
     for (key, value) in env {
         cmd.env(key, value);
     }
@@ -53,6 +55,10 @@ fn bad_knob_exits_2_naming_the_variable() {
         ("LANGCRAWL_SCALE", "abc"),
         ("LANGCRAWL_SCALE", "0"),
         ("LANGCRAWL_SEED", "-1"),
+        ("LANGCRAWL_THREADS", "lots"),
+        ("LANGCRAWL_THREADS", "0"),
+        ("LANGCRAWL_SNAPSHOT_EVERY", "soon"),
+        ("LANGCRAWL_SNAPSHOT_EVERY", "0"),
     ] {
         let out = repro(&["table1"], &[(knob, value)]);
         let stderr = String::from_utf8_lossy(&out.stderr);

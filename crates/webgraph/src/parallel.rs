@@ -12,15 +12,21 @@ use std::num::NonZeroUsize;
 use std::ops::Range;
 
 /// Worker-thread count for parallel sections: `LANGCRAWL_THREADS` when
-/// set to a positive integer, else [`std::thread::available_parallelism`]
-/// (1 when even that is unavailable). Read afresh on each call so tests
-/// and harnesses can vary it per run.
+/// set, else [`std::thread::available_parallelism`] (1 when even that
+/// is unavailable). Read afresh on each call so tests and harnesses can
+/// vary it per run.
+///
+/// Panics, naming the variable and its value, when it is set to
+/// anything but a positive integer.
 pub fn effective_threads() -> usize {
-    std::env::var("LANGCRAWL_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+    let Some(raw) = std::env::var_os("LANGCRAWL_THREADS") else {
+        return std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    };
+    let value = raw.to_string_lossy();
+    match value.trim().parse::<usize>() {
+        Ok(t) if t >= 1 => t,
+        _ => panic!("LANGCRAWL_THREADS={value:?} is not a positive thread count"),
+    }
 }
 
 /// Partition items `0..weights.len()` into at most `parts` contiguous,
