@@ -50,8 +50,13 @@
 //! `tol_rel / N`. A node is re-queued only when its pulled value moved
 //! by more than the threshold, so convergent regions quiesce and the
 //! work per interval tracks the delta, not the graph. If the per-refresh
-//! sweep valve trips, the still-pending frontier carries into the next
-//! refresh — truncation defers work, it never loses it. Every
+//! sweep valve trips, the still-pending frontier is *dropped*, not
+//! deferred: the drain leaves it stamped with the last sweep's successor,
+//! but the stamp is then parked one past that, so the next refresh's
+//! carry check never matches it (a known defect: a probe at thai_like
+//! 100k saw 9 of the first 20 refreshes leave work pending and none of
+//! it carried; fixing it changes the crawl order of PageRank-ordered
+//! crawls). Every
 //! `resync_every`-th refresh seeds the *entire* crawled set instead,
 //! bounding floating-point drift. The reference mode
 //! ([`RankState::full_reference`]) seeds everything at every refresh —
@@ -99,10 +104,10 @@ pub struct RankState {
     order: Vec<Slot>,
     /// Per-slot sweep stamp: the slot relaxes in the sweep whose number
     /// matches. Stale stamps from earlier refreshes never match again
-    /// (`stamp` only moves forward), so nothing is ever cleared — except
-    /// slots still stamped exactly [`RankState::stamp`], which are the
-    /// pending frontier of a sweep-capped drain and carry into the next
-    /// refresh.
+    /// (`stamp` only moves forward), so nothing is ever cleared. A
+    /// refresh carries slots stamped exactly [`RankState::stamp`], but a
+    /// sweep-capped drain leaves its pending frontier stamped one below
+    /// that value, so the carry never fires and that work is dropped.
     mark: Vec<u32>,
     /// Monotone sweep counter across refreshes.
     stamp: u32,
@@ -192,10 +197,11 @@ impl RankState {
         } else {
             0.0
         };
-        // Slots still stamped exactly `stamp` are the pending frontier
-        // of a previous drain that hit the sweep valve — carry them into
-        // this refresh so truncation defers work instead of losing it
-        // (and incremental stays exactly equivalent to the reference).
+        // Meant to carry the pending frontier of a previous drain that
+        // hit the sweep valve. That frontier sits at `stamp - 1` (see
+        // the end of this function), so this matches nothing and the
+        // truncated work is dropped — a known defect kept because
+        // fixing it moves PageRank-ordered crawls.
         let carry = self.stamp;
         // Fresh stamp window: everything written in earlier refreshes
         // is strictly below `cur`, so stale marks never match.
@@ -301,9 +307,9 @@ impl RankState {
             cur = nxt;
         }
         self.relaxations += relaxed;
-        // Park the stamp on the next-sweep value: slots left stamped
-        // there by a valve-tripped drain are picked up as `carry` next
-        // refresh; everything relaxed this refresh sits strictly below.
+        // Park the stamp one past the next-sweep value `cur`. Slots a
+        // valve-tripped drain left stamped `cur` therefore never match
+        // the next refresh's `carry` (= this stamp): their work is lost.
         self.stamp = cur.wrapping_add(1);
         self.zsum = zsum;
         self.lambda = if zsum > 0.0 { 1.0 / zsum } else { 1.0 };
