@@ -52,7 +52,7 @@ use crate::snapshot::{
 };
 use crate::strategy::Strategy;
 use langcrawl_rng::Rng;
-use langcrawl_webgraph::{FetchOutcome, PageId};
+use langcrawl_webgraph::FetchOutcome;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -131,7 +131,6 @@ trait SlotFrontier: Frontier {
     fn release(&mut self, host: u32, ready_at: u64, now: u64) -> bool;
     fn advance_to(&mut self, t: u64);
     fn next_cooling(&self) -> Option<u64>;
-    fn host_of(&self, p: PageId) -> u32;
     fn set_origin(&mut self, host: Option<u32>);
     fn handoffs(&self) -> u64;
     fn shard_stats(&self) -> Vec<ShardStats>;
@@ -144,24 +143,27 @@ trait SlotFrontier: Frontier {
 }
 
 impl SlotFrontier for ShardedFrontier {
+    #[inline]
     fn pop_ready(&mut self) -> Option<Entry> {
         ShardedFrontier::pop_ready(self)
     }
+    #[inline]
     fn release(&mut self, host: u32, ready_at: u64, now: u64) -> bool {
         ShardedFrontier::release(self, host, ready_at, now)
     }
+    #[inline]
     fn advance_to(&mut self, t: u64) {
         ShardedFrontier::advance_to(self, t);
     }
+    #[inline]
     fn next_cooling(&self) -> Option<u64> {
         ShardedFrontier::next_cooling(self)
     }
-    fn host_of(&self, p: PageId) -> u32 {
-        ShardedFrontier::host_of(self, p)
-    }
+    #[inline]
     fn set_origin(&mut self, host: Option<u32>) {
         ShardedFrontier::set_origin(self, host);
     }
+    #[inline]
     fn handoffs(&self) -> u64 {
         ShardedFrontier::handoffs(self)
     }
@@ -190,10 +192,6 @@ impl SlotFrontier for UrlQueue {
     #[inline]
     fn next_cooling(&self) -> Option<u64> {
         None
-    }
-    #[inline]
-    fn host_of(&self, _p: PageId) -> u32 {
-        0
     }
     #[inline]
     fn set_origin(&mut self, _host: Option<u32>) {}
@@ -225,6 +223,8 @@ impl SlotFrontier for UrlQueue {
 struct InFlight {
     finish: u64,
     entry: Entry,
+    /// The entry's host, from the page metadata read at the start.
+    host: u32,
     attempt: u32,
     outcome: FetchOutcome,
 }
@@ -1073,13 +1073,14 @@ impl CrawlEngine<'_> {
                         },
                     ),
                 };
+                let host = meta.host;
                 if !gaps.is_empty() {
-                    let host = frontier.host_of(p);
                     next_ok[host as usize] = now.saturating_add(gaps[host as usize]);
                 }
                 in_flight.push_back(InFlight {
                     finish: now + 1,
                     entry,
+                    host,
                     attempt,
                     outcome,
                 });
@@ -1137,7 +1138,7 @@ impl CrawlEngine<'_> {
                 in_flight.pop_front();
                 busy -= 1;
                 let p = f.entry.page;
-                let host = frontier.host_of(p);
+                let host = f.host;
                 let ready_at = if gaps.is_empty() {
                     0
                 } else {

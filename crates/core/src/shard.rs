@@ -167,11 +167,13 @@ pub struct ShardedFrontier {
     host_state: Vec<HostState>,
     /// `(ready_at, host)` for hosts in politeness cool-down.
     cooling: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Per page: owning host in the high word, admission bar in the
-    /// low word ([`UrlQueue`]'s encoding: an entry with key `k` is live
-    /// iff `k < bar`). Fused so a push's admission check and host
-    /// lookup, and a pop's host and stale checks, share one cache line.
-    pages: Vec<u64>,
+    /// Host owning each page. Read once per accepted push: ring and
+    /// parked entries carry their host.
+    host_of_page: Vec<u32>,
+    /// Per-page admission bar, [`UrlQueue`]'s encoding: an entry with
+    /// key `k` is live iff `k < bar`. The only per-page table a
+    /// rejected push or a pop touches.
+    bar: Vec<u32>,
     /// Owning shard of each host (pure hash of the host id).
     shard_of_host: Vec<u32>,
     stats: Vec<ShardStats>,
@@ -191,6 +193,7 @@ impl ShardedFrontier {
     /// into `shards` shards.
     pub fn new(host_of_page: Vec<u32>, num_hosts: usize, levels: usize, shards: usize) -> Self {
         let shards = shards.max(1);
+        let num_pages = host_of_page.len();
         let levels = levels.max(1);
         ShardedFrontier {
             rings: (0..levels).map(|_| VecDeque::new()).collect(),
@@ -204,10 +207,8 @@ impl ShardedFrontier {
             stored: vec![0; num_hosts],
             host_state: vec![HostState::Ready; num_hosts],
             cooling: BinaryHeap::new(),
-            pages: host_of_page
-                .iter()
-                .map(|&h| u64::from(h) << 32 | u64::from(BAR_NEVER))
-                .collect(),
+            host_of_page,
+            bar: vec![BAR_NEVER; num_pages],
             shard_of_host: (0..num_hosts)
                 .map(|h| (mix(SHARD_SALT, h as u64) % shards as u64) as u32)
                 .collect(),
@@ -232,9 +233,10 @@ impl ShardedFrontier {
     }
 
     /// Host owning a page.
+    #[inline]
     pub fn host_of(&self, p: PageId) -> u32 {
         // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-        (self.pages[p as usize] >> 32) as u32
+        self.host_of_page[p as usize]
     }
 
     /// Shard owning a host.
@@ -250,6 +252,7 @@ impl ShardedFrontier {
     /// Total accepted pushes that crossed shards so far. The scheduler
     /// reads the delta across one resolution to emit
     /// [`crate::event::CrawlEvent::ShardHandoff`].
+    #[inline]
     pub fn handoffs(&self) -> u64 {
         self.handoffs
     }
@@ -258,6 +261,7 @@ impl ShardedFrontier {
     /// subsequent accepted pushes landing on another shard count as
     /// handoffs. `None` (the initial state) attributes nothing — seed
     /// pushes are not discovery traffic.
+    #[inline]
     pub fn set_origin(&mut self, host: Option<u32>) {
         self.origin = host;
     }
@@ -270,8 +274,7 @@ impl ShardedFrontier {
     // rings only grow to their high-water size.
     fn admit(&mut self, e: Entry, readmit: bool) -> bool {
         // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-        let word = self.pages[e.page as usize];
-        let bar = match word as u32 {
+        let bar = match self.bar[e.page as usize] {
             BAR_DONE if readmit => BAR_NEVER,
             bar => bar,
         };
@@ -283,8 +286,8 @@ impl ShardedFrontier {
             self.pending += 1;
             self.max_pending = self.max_pending.max(self.pending);
         }
-        self.pages[e.page as usize] = word >> 32 << 32 | u64::from(raised);
-        let host = (word >> 32) as usize;
+        self.bar[e.page as usize] = raised;
+        let host = self.host_of_page[e.page as usize] as usize;
         let si = self.shard_of_host[host] as usize;
         self.stats[si].pushes += 1;
         if let Some(from) = self.origin {
@@ -426,8 +429,7 @@ impl ShardedFrontier {
             let h = host as usize;
             self.stored[h] -= 1;
             let idx = e.page as usize;
-            let word = self.pages[idx];
-            if e.key() as u32 >= word as u32 {
+            if e.key() as u32 >= self.bar[idx] {
                 // Stale: fetched already, or superseded by a better
                 // admission — dropped when it surfaces, as the rings do.
                 if from_parked {
@@ -435,7 +437,7 @@ impl ShardedFrontier {
                 }
                 continue;
             }
-            self.pages[idx] = word >> 32 << 32 | u64::from(BAR_DONE);
+            self.bar[idx] = BAR_DONE;
             self.pending -= 1;
             self.stats[self.shard_of_host[h] as usize].pops += 1;
             if mark_busy {
@@ -453,6 +455,7 @@ impl ShardedFrontier {
     /// so per-host concurrency 1 and politeness gaps hold by
     /// construction. `None` when every waiting entry belongs to a busy
     /// or cooling host (or the frontier is dry).
+    #[inline]
     pub fn pop_ready(&mut self) -> Option<Entry> {
         self.pop_inner(true)
     }
@@ -462,6 +465,7 @@ impl ShardedFrontier {
     /// `Ready` immediately, otherwise it waits in the cool-down heap.
     /// Returns `true` when the host was parked *with work still
     /// queued* — the politeness-wait signal.
+    #[inline]
     pub fn release(&mut self, host: u32, ready_at: u64, now: u64) -> bool {
         if ready_at > now {
             // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
@@ -477,6 +481,7 @@ impl ShardedFrontier {
 
     /// Wake every host whose cool-down expires at or before `t`. Wake
     /// order cannot matter: token keys are totally ordered.
+    #[inline]
     pub fn advance_to(&mut self, t: u64) {
         while let Some(&Reverse((ready_at, host))) = self.cooling.peek() {
             if ready_at > t {
@@ -491,6 +496,7 @@ impl ShardedFrontier {
 
     /// Earliest tick at which a cooling host wakes, if any — the
     /// scheduler's next candidate time when slots idle.
+    #[inline]
     pub fn next_cooling(&self) -> Option<u64> {
         self.cooling.peek().map(|&Reverse((at, _))| at)
     }
@@ -516,7 +522,7 @@ impl ShardedFrontier {
     /// ≤5% capture-overhead gate prices every per-element capacity
     /// check taken here.
     pub(crate) fn encode_state(&self, enc: &mut Enc) {
-        enc.u64(self.pages.len() as u64);
+        enc.u64(self.bar.len() as u64);
         enc.u64(self.host_state.len() as u64);
         enc.u64(self.rings.len() as u64);
         enc.u64(self.stats.len() as u64);
@@ -555,13 +561,7 @@ impl ShardedFrontier {
             enc.u64(s.pops);
             enc.u64(s.handoffs_in);
         }
-        let mut bars = [0u32; 64];
-        for chunk in self.pages.chunks(64) {
-            for (b, &w) in bars.iter_mut().zip(chunk) {
-                *b = w as u32;
-            }
-            enc.u32s(bars.get(..chunk.len()).unwrap_or_default());
-        }
+        enc.u32s(&self.bar);
         enc.u64(self.pending as u64);
         enc.u64(self.max_pending as u64);
         enc.u64(self.pushes);
@@ -583,7 +583,7 @@ impl ShardedFrontier {
     ) -> Result<ShardedFrontier, SnapshotError> {
         let mut f = ShardedFrontier::new(host_of_page, num_hosts, levels, shards);
         let levels = f.rings.len();
-        if dec.len()? != f.pages.len() {
+        if dec.len()? != f.bar.len() {
             return Err(SnapshotError::Malformed("frontier page count mismatch"));
         }
         if dec.len()? != num_hosts {
@@ -598,10 +598,9 @@ impl ShardedFrontier {
         // `(page, priority, distance)` plus the entry's host and level.
         let entry = |dec: &mut Dec<'_>, f: &ShardedFrontier| {
             let page = dec.u32()?;
-            let Some(&word) = f.pages.get(page as usize) else {
+            let Some(&host) = f.host_of_page.get(page as usize) else {
                 return Err(SnapshotError::Malformed("frontier page out of range"));
             };
-            let host = word >> 32;
             let (priority, distance) = (dec.u8()?, dec.u8()?);
             let level = (priority as usize).min(levels - 1);
             Ok((
@@ -675,12 +674,11 @@ impl ShardedFrontier {
             s.pops = dec.u64()?;
             s.handoffs_in = dec.u64()?;
         }
-        for w in &mut f.pages {
-            let bar = dec.u32()?;
-            if bar > BAR_NEVER {
+        for b in &mut f.bar {
+            *b = dec.u32()?;
+            if *b > BAR_NEVER {
                 return Err(SnapshotError::Malformed("admission bar out of range"));
             }
-            *w = *w >> 32 << 32 | u64::from(bar);
         }
         f.pending = dec.len()?;
         f.max_pending = dec.len()?;
@@ -736,6 +734,7 @@ impl Stage {
 }
 
 impl Frontier for ShardedFrontier {
+    #[inline]
     fn push(&mut self, e: Entry) -> bool {
         self.admit(e, false)
     }
@@ -744,6 +743,7 @@ impl Frontier for ShardedFrontier {
     /// host state is consulted — a new entry only joins its ring.
     // lint:root(panic-free, alloc-free) — one call per resolved
     // fetch with outlinks.
+    #[inline]
     fn push_all(&mut self, entries: &[Entry]) -> u32 {
         let mut enqueued = 0u32;
         for &e in entries {
@@ -752,10 +752,12 @@ impl Frontier for ShardedFrontier {
         enqueued
     }
 
+    #[inline]
     fn pop(&mut self) -> Option<Entry> {
         self.pop_inner(false)
     }
 
+    #[inline]
     fn requeue(&mut self, e: Entry) -> bool {
         self.admit(e, true)
     }
@@ -773,11 +775,11 @@ impl Frontier for ShardedFrontier {
     }
 
     fn is_done(&self, p: PageId) -> bool {
-        self.pages[p as usize] as u32 == BAR_DONE
+        self.bar[p as usize] == BAR_DONE
     }
 
     fn was_admitted(&self, p: PageId) -> bool {
-        self.pages[p as usize] as u32 != BAR_NEVER
+        self.bar[p as usize] != BAR_NEVER
     }
 }
 
