@@ -16,7 +16,7 @@
 //!   (`Busy` or `Cooling`) needs a queue of its own: when one of its
 //!   entries reaches a ring head, the entry moves to the host's
 //!   `(host, level)` parked list — index-linked FIFO lists over one
-//!   slab of [`Node`]s, recycled through a free list, so steady-state
+//!   slab of nodes, recycled through a free list, so steady-state
 //!   churn allocates nothing;
 //! * **pop order** is the exact global `(priority level, FIFO seq)`
 //!   discipline of [`UrlQueue`] over ready hosts, *regardless of shard
@@ -45,6 +45,8 @@
 //! orders entries, `(level, park ordinal)` orders parked minima,
 //! `(ready_at, host)` orders cool-downs, and shard assignment is a pure
 //! hash of the host id.
+//!
+//! [`UrlQueue`]: crate::queue::UrlQueue
 
 use crate::frontier::Frontier;
 use crate::queue::{Entry, BAR_DONE, BAR_NEVER};
@@ -118,7 +120,7 @@ pub struct ShardStats {
 
 /// The host-sharded, politeness-aware frontier. See the module docs for
 /// the layout; see [`Frontier`] for the admission contract it shares
-/// with [`UrlQueue`] and
+/// with [`UrlQueue`](crate::queue::UrlQueue) and
 /// [`crate::frontier::BestFirstFrontier`].
 ///
 /// ```
@@ -174,6 +176,9 @@ pub struct ShardedFrontier {
     /// key `k` is live iff `k < bar`. The only per-page table a
     /// rejected push or a pop touches.
     bar: Vec<u32>,
+    /// `bar == BAR_DONE` as one bit per page, kept alongside so a
+    /// capture copies words instead of scanning bars.
+    done: Vec<u64>,
     /// Owning shard of each host (pure hash of the host id).
     shard_of_host: Vec<u32>,
     stats: Vec<ShardStats>,
@@ -209,6 +214,7 @@ impl ShardedFrontier {
             cooling: BinaryHeap::new(),
             host_of_page,
             bar: vec![BAR_NEVER; num_pages],
+            done: vec![0; num_pages.div_ceil(64)],
             shard_of_host: (0..num_hosts)
                 .map(|h| (mix(SHARD_SALT, h as u64) % shards as u64) as u32)
                 .collect(),
@@ -275,7 +281,10 @@ impl ShardedFrontier {
     fn admit(&mut self, e: Entry, readmit: bool) -> bool {
         // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
         let bar = match self.bar[e.page as usize] {
-            BAR_DONE if readmit => BAR_NEVER,
+            BAR_DONE if readmit => {
+                self.done[e.page as usize / 64] &= !(1 << (e.page % 64));
+                BAR_NEVER
+            }
             bar => bar,
         };
         let raised = e.key() as u32 + 1;
@@ -438,6 +447,7 @@ impl ShardedFrontier {
                 continue;
             }
             self.bar[idx] = BAR_DONE;
+            self.done[idx / 64] |= 1 << (idx % 64);
             self.pending -= 1;
             self.stats[self.shard_of_host[h] as usize].pops += 1;
             if mark_busy {
@@ -510,44 +520,46 @@ impl ShardedFrontier {
     /// the page and level from the priority clamp, so neither is
     /// stored). Decode rebuilds the slab record by record, so re-encoding
     /// reproduces the bytes; list links are layout, resorted from
-    /// `(level, ordinal)`. Then one state byte per host, and cool-downs
-    /// as one sorted `(ready_at, host)` list. Tokens are derivable (a
-    /// ready host with parked entries exposes its minimum), so none is
-    /// stored. `origin` is not state: it is only ever `Some` *inside* a
-    /// resolve, and snapshots are taken at tick boundaries.
+    /// `(level, ordinal)`. Then one state byte per host, cool-downs as
+    /// one sorted `(ready_at, host)` list, and the admission bars as
+    /// one done bit per page: every other bar is derived from the
+    /// stored entries on decode ([`Self::derive_bar`]). Tokens are
+    /// derivable too (a ready host with parked entries exposes its
+    /// minimum), so none is stored. `origin` is not state: it is only
+    /// ever `Some` *inside* a resolve, and snapshots are taken at tick
+    /// boundaries.
     ///
     /// Capture rides the scheduler's steady state, so records are
-    /// staged in a stack block and appended whole, and the parked scan
-    /// runs linearly over the slab ([`FREE_PAGE`] marks holes) — the
-    /// ≤5% capture-overhead gate prices every per-element capacity
-    /// check taken here.
+    /// staged in a stack block and appended whole, the parked scan runs
+    /// linearly over the slab ([`FREE_PAGE`] marks holes), and the done
+    /// bits are kept as words so capture copies them — the ≤5%
+    /// capture-overhead gate prices every per-element step taken here.
     pub(crate) fn encode_state(&self, enc: &mut Enc) {
         enc.u64(self.bar.len() as u64);
         enc.u64(self.host_state.len() as u64);
         enc.u64(self.rings.len() as u64);
         enc.u64(self.stats.len() as u64);
-        let mut st = Stage::default();
         for ring in &self.rings {
             enc.u64(ring.len() as u64);
-            for (e, _) in ring {
-                st.put(enc, record(e.page, e.priority, e.distance), 6);
-            }
-            st.flush(enc);
+            put_records(
+                enc,
+                ring.iter()
+                    .map(|(e, _)| record(e.page, e.priority, e.distance)),
+            );
         }
         let count_at = enc.mark();
         enc.u64(0);
-        let mut n = 0u64;
-        for node in self.nodes.iter().filter(|n| n.page != FREE_PAGE) {
-            st.put(enc, record(node.page, node.priority, node.distance), 6);
-            st.put(enc, node.ord, 8);
-            n += 1;
-        }
-        st.flush(enc);
+        let live = self.nodes.iter().filter(|n| n.page != FREE_PAGE);
+        let n = put_records(
+            enc,
+            live.map(|n| {
+                let [a, b, c, d, e, f] = record(n.page, n.priority, n.distance);
+                let [o0, o1, o2, o3, o4, o5, o6, o7] = n.ord.to_le_bytes();
+                [a, b, c, d, e, f, o0, o1, o2, o3, o4, o5, o6, o7]
+            }),
+        );
         enc.patch_u64(count_at, n);
-        for &s in &self.host_state {
-            st.put(enc, s as u64, 1);
-        }
-        st.flush(enc);
+        put_records(enc, self.host_state.iter().map(|&s| [s as u8]));
         // lint:allow(no-alloc-transitive): capture-time encode: the cool-down list is sorted into canonical order once per capture
         let mut cooling: Vec<(u64, u32)> = self.cooling.iter().map(|&Reverse(x)| x).collect();
         cooling.sort_unstable();
@@ -561,7 +573,7 @@ impl ShardedFrontier {
             enc.u64(s.pops);
             enc.u64(s.handoffs_in);
         }
-        enc.u32s(&self.bar);
+        enc.u64s(&self.done);
         enc.u64(self.pending as u64);
         enc.u64(self.max_pending as u64);
         enc.u64(self.pushes);
@@ -620,6 +632,7 @@ impl ShardedFrontier {
                     return Err(SnapshotError::Malformed("ring entry on the wrong level"));
                 }
                 f.stored[host] += 1;
+                f.derive_bar(e);
                 f.rings[level].push_back((e, host as u32));
             }
         }
@@ -632,6 +645,7 @@ impl ShardedFrontier {
             let (e, host, level) = entry(dec, &f)?;
             let ord = dec.u64()?;
             f.stored[host] += 1;
+            f.derive_bar(e);
             links.push((host * levels + level, ord, i as u32));
             f.nodes.push(Node {
                 ord,
@@ -674,10 +688,16 @@ impl ShardedFrontier {
             s.pops = dec.u64()?;
             s.handoffs_in = dec.u64()?;
         }
-        for b in &mut f.bar {
-            *b = dec.u32()?;
-            if *b > BAR_NEVER {
-                return Err(SnapshotError::Malformed("admission bar out of range"));
+        for (i, w) in f.done.iter_mut().enumerate() {
+            *w = dec.u64()?;
+            let pages = f.bar.len().saturating_sub(i * 64);
+            if pages < 64 && *w >> pages != 0 {
+                return Err(SnapshotError::Malformed("done padding bits set"));
+            }
+        }
+        for (p, b) in f.bar.iter_mut().enumerate() {
+            if f.done[p / 64] >> (p % 64) & 1 == 1 {
+                *b = BAR_DONE;
             }
         }
         f.pending = dec.len()?;
@@ -687,49 +707,45 @@ impl ShardedFrontier {
         f.handoffs = dec.u64()?;
         Ok(f)
     }
-}
 
-/// A `(page, priority, distance)` snapshot record in its low 6 bytes.
-fn record(page: PageId, priority: u8, distance: u8) -> u64 {
-    u64::from(page) | u64::from(priority) << 32 | u64::from(distance) << 40
-}
-
-/// Stack staging for snapshot records: each `put` stores a whole word
-/// and advances by the record width, and full blocks append at once.
-struct Stage {
-    block: [u8; 256],
-    fill: usize,
-}
-
-impl Default for Stage {
-    fn default() -> Self {
-        Stage {
-            block: [0; 256],
-            fill: 0,
-        }
+    /// Decode-time bar reconstruction from one stored entry. A pending
+    /// page's bar is one past its best stored key: the entry that set
+    /// it stays stored until it pops live, which marks the page done,
+    /// and every other stored entry of the page was admitted earlier
+    /// with a worse key (a retry re-admits the very entry that popped).
+    /// Pages never admitted store nothing; done marks are applied after.
+    fn derive_bar(&mut self, e: Entry) {
+        let b = &mut self.bar[e.page as usize];
+        *b = (*b).min(e.key() as u32 + 1);
     }
 }
 
-impl Stage {
-    /// Append the low `width` (≤ 8) bytes of `w`, little-endian.
-    fn put(&mut self, enc: &mut Enc, w: u64, width: usize) {
-        if self.fill + 8 > self.block.len() {
-            self.flush(enc);
-        }
-        if let Some(dst) = self.block.get_mut(self.fill..self.fill + 8) {
-            for (d, b) in dst.iter_mut().zip(w.to_le_bytes()) {
-                *d = b;
-            }
-        }
-        self.fill += width;
-    }
+/// A `(page, priority, distance)` snapshot record.
+fn record(page: PageId, priority: u8, distance: u8) -> [u8; 6] {
+    let [a, b, c, d] = page.to_le_bytes();
+    [a, b, c, d, priority, distance]
+}
 
-    fn flush(&mut self, enc: &mut Enc) {
-        if let Some(staged) = self.block.get(..self.fill) {
+/// Append fixed-width snapshot records, staged through a stack block
+/// so the payload grows a block at a time instead of paying a capacity
+/// check per record. Returns the record count.
+fn put_records<const W: usize>(enc: &mut Enc, mut records: impl Iterator<Item = [u8; W]>) -> u64 {
+    let mut block = [[0u8; W]; 32];
+    let mut total = 0;
+    loop {
+        let mut n = 0;
+        for (slot, r) in block.iter_mut().zip(records.by_ref()) {
+            *slot = r;
+            n += 1;
+        }
+        total += n as u64;
+        if let Some(staged) = block.get(..n) {
             // lint:allow(no-alloc-transitive): capture-time encode: the snapshot buffer is reused and reaches its high-water size once
-            enc.buf.extend_from_slice(staged);
+            enc.buf.extend_from_slice(staged.as_flattened());
         }
-        self.fill = 0;
+        if n < block.len() {
+            return total;
+        }
     }
 }
 
