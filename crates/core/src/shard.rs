@@ -238,13 +238,6 @@ impl ShardedFrontier {
         self.stats.len()
     }
 
-    /// Host owning a page.
-    #[inline]
-    pub fn host_of(&self, p: PageId) -> u32 {
-        // lint:allow(no-panic-transitive): host, level and slab indices are minted by this structure and stay in range by construction
-        self.host_of_page[p as usize]
-    }
-
     /// Shard owning a host.
     pub fn shard_of(&self, host: u32) -> usize {
         self.shard_of_host[host as usize] as usize
