@@ -41,7 +41,8 @@ pub trait Frontier {
     /// enqueued. Semantically identical to calling [`Frontier::push`]
     /// once per entry; implementations may override it to amortize
     /// per-push bookkeeping across the batch (the bucketed queue folds
-    /// its counter updates into one flush at the end), but must accept exactly the same entries in exactly the same order.
+    /// its counter updates into one flush at the end), but must accept
+    /// exactly the same entries in exactly the same order.
     fn push_all(&mut self, entries: &[Entry]) -> u32 {
         let mut enqueued = 0u32;
         for &e in entries {

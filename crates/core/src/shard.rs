@@ -169,8 +169,9 @@ pub struct ShardedFrontier {
     host_state: Vec<HostState>,
     /// `(ready_at, host)` for hosts in politeness cool-down.
     cooling: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Host owning each page. Read once per accepted push: ring and
-    /// parked entries carry their host.
+    /// Host owning each page. Read once per accepted push; from then on
+    /// the ring entry carries it, and a parked entry's host is its
+    /// list's.
     host_of_page: Vec<u32>,
     /// Per-page admission bar, [`UrlQueue`]'s encoding: an entry with
     /// key `k` is live iff `k < bar`. The only per-page table a
